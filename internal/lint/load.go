@@ -358,7 +358,8 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 
 // modulePackages walks the module tree and returns the import paths of
 // every package directory, skipping testdata, hidden directories and
-// nested lint testdata modules.
+// nested modules (a subdirectory with its own go.mod belongs to that
+// module, as with the go tool's ./...).
 func (l *Loader) modulePackages() ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
@@ -371,6 +372,11 @@ func (l *Loader) modulePackages() ([]string, error) {
 		name := d.Name()
 		if path != l.ModuleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
+		}
+		if path != l.ModuleRoot {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if !hasGoFiles(path) {
 			return nil

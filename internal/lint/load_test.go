@@ -236,6 +236,30 @@ func benchRoot(b *testing.B) string {
 	return root
 }
 
+func TestLoaderSkipsNestedModules(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"pkg/a.go":        "package pkg\n\nfunc A() int { return 1 }\n",
+		"nested/go.mod":   "module tmpmod/nested\n\ngo 1.22\n",
+		"nested/b.go":     "package nested\n\nfunc B() int { return 2 }\n",
+		"nested/sub/c.go": "package sub\n\nfunc C() int { return 3 }\n",
+	})
+	l, err := lint.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "tmpmod/pkg" {
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, p.Path)
+		}
+		t.Fatalf("./... expanded to %v, want only tmpmod/pkg (nested module skipped)", got)
+	}
+}
+
 func TestLoaderPatternExpansion(t *testing.T) {
 	l, err := lint.NewLoader(moduleRoot(t))
 	if err != nil {

@@ -32,7 +32,7 @@ func (p *Pipeline) ScheduleBatch(ctx context.Context, factory func() heuristics.
 		return nil
 	}
 	// Capacity n: every item delivers exactly one Result here, either
-	// from a worker or from a failed submit, so nothing ever blocks.
+	// from a worker or from a failed admission, so nothing ever blocks.
 	done := make(chan Result, n)
 	if p.cache != nil {
 		// Cached path: items resolve through the cache concurrently so
@@ -45,19 +45,24 @@ func (p *Pipeline) ScheduleBatch(ctx context.Context, factory func() heuristics.
 		go func() {
 			sem := make(chan struct{}, p.cfg.Workers+p.cfg.QueueDepth)
 			for i, g := range graphs {
-				s := factory()
+				t := task{ctx: ctx, s: factory(), g: g}
 				sem <- struct{}{}
-				go func(i int, s heuristics.Scheduler, g *dag.Graph) {
+				go func(i int, t task) {
 					defer func() { <-sem }()
-					sc, st, err := p.scheduleCached(ctx, s, g, true)
-					done <- Result{Index: i, Schedule: sc, Cache: st, Err: err}
-				}(i, s, g)
+					r := p.resolve(t, true)
+					r.Index = i
+					done <- r
+				}(i, t)
 			}
 		}()
 	} else {
+		// Uncached path: one goroutine admits the items in sequence, so
+		// they enter the queue in input order (item k+1 never overtakes
+		// item k); workers deliver straight to done.
 		go func() {
 			for i, g := range graphs {
-				if err := p.submit(ctx, factory(), g, i, done); err != nil {
+				t := task{ctx: ctx, s: factory(), g: g, index: i, done: done}
+				if err := p.admit(t, true); err != nil {
 					done <- Result{Index: i, Err: err}
 				}
 			}

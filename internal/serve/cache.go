@@ -2,8 +2,9 @@ package serve
 
 import (
 	"context"
-	"time"
+	"fmt"
 
+	"schedcomp/internal/anytime"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
 	"schedcomp/internal/sched"
@@ -29,68 +30,61 @@ import (
 // reports whether the schedule came from the cache (CacheNone when the
 // pipeline has no cache; then it behaves exactly like Schedule).
 func (p *Pipeline) ScheduleCached(ctx context.Context, s heuristics.Scheduler, g *dag.Graph) (*sched.Schedule, CacheStatus, error) {
-	if p.cache == nil {
-		sc, err := p.Schedule(ctx, s, g)
-		return sc, CacheNone, err
-	}
-	return p.scheduleCached(ctx, s, g, false)
+	r := p.resolve(task{ctx: ctx, s: s, g: g}, false)
+	return r.Schedule, r.Cache, r.Err
 }
 
-// scheduleCached resolves one request through the cache; blocking
-// selects the batch (blocking) or single (shedding) admission path for
-// the miss computation.
-func (p *Pipeline) scheduleCached(ctx context.Context, s heuristics.Scheduler, g *dag.Graph, blocking bool) (*sched.Schedule, CacheStatus, error) {
+// resolve is the one cache step in front of the pool: it runs t
+// through await (with the given admission discipline) on a cache miss
+// and serves hits without admission. A nil cache goes straight to
+// await. Quality-tier results keep their provenance as cache metadata
+// (an anytime.Result value, immutable once stored); plain requests
+// carry nil metadata.
+func (p *Pipeline) resolve(t task, blocking bool) Result {
+	if p.cache == nil {
+		return p.await(t, blocking)
+	}
+	g, name := t.g, QualityBest
+	if !t.quality {
+		name = t.s.Name()
+	}
 	key := schedcache.Key{
 		Fingerprint: g.CanonicalHash(),
-		Heuristic:   s.Name(),
+		Heuristic:   name,
 		// NProcs 0: the serving layer always lets the heuristic choose
 		// the processor count today; the key dimension is reserved.
 	}
-	enc := g.CanonicalEncoding()
-	canonical, st, err := p.cache.Do(ctx, key, enc, func(ctx context.Context) (*sched.Schedule, error) {
-		return p.run(ctx, s, g.CanonicalClone(), blocking)
+	canonical, meta, st, err := p.cache.DoMeta(t.ctx, key, g.CanonicalEncoding(), func(ctx context.Context) (*sched.Schedule, any, error) {
+		c := t
+		c.ctx, c.g = ctx, g.CanonicalClone()
+		r := p.await(c, blocking)
+		var meta any
+		if r.Best != nil {
+			meta = *r.Best
+		}
+		return r.Schedule, meta, r.Err
 	})
 	if err != nil {
-		return nil, CacheMiss, err
+		return Result{Cache: CacheMiss, Err: err}
 	}
-	status := CacheMiss
+	r := Result{Schedule: remapSchedule(canonical, g), Cache: CacheMiss}
 	if st == schedcache.Hit || st == schedcache.Coalesced {
-		status = CacheHit
+		r.Cache = CacheHit
 	}
-	return remapSchedule(canonical, g), status, nil
-}
-
-// run pushes one graph through the worker pool using the requested
-// admission discipline and waits for its result.
-func (p *Pipeline) run(ctx context.Context, s heuristics.Scheduler, g *dag.Graph, blocking bool) (*sched.Schedule, error) {
-	if !blocking {
-		return p.Schedule(ctx, s, g)
+	if t.quality {
+		best, ok := meta.(anytime.Result)
+		if !ok {
+			// Unreachable unless another writer stored a foreign meta
+			// under the QualityBest dimension; fail loudly rather than
+			// fabricate an unproven bound.
+			return Result{Cache: CacheMiss, Err: fmt.Errorf("serve: quality cache entry has unexpected metadata %T", meta)}
+		}
+		// Remapping keeps the makespan, so the stored gap still holds;
+		// Elapsed reports the original computation's refinement time.
+		best.Schedule = r.Schedule
+		r.Best = &best
 	}
-	done := make(chan Result, 1)
-	p.submitted.Inc()
-	t := task{ctx: ctx, s: s, g: g, enq: time.Now(), done: done}
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		p.shed.Inc()
-		return nil, ErrClosed
-	}
-	select { //lint:lockheld same blocking-admission contract as submit
-	case p.queue <- t:
-		p.admitted.Inc()
-		p.depth.Add(1)
-		p.mu.RUnlock()
-	case <-ctx.Done():
-		p.shed.Inc()
-		p.mu.RUnlock()
-		return nil, ctx.Err()
-	}
-	select {
-	case r := <-done:
-		return r.Schedule, r.Err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return r
 }
 
 // remapSchedule translates a canonical-space schedule back into the

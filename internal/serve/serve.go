@@ -4,14 +4,15 @@
 // context.Context into heuristics.RunContext, so a request that is
 // cancelled or expires stops burning CPU at the next topo-order poll.
 //
-// Admission policy:
+// Admission policy (one admit function serves every entry point):
 //
 //   - single requests are admitted without blocking — a full queue
 //     sheds the request immediately with ErrQueueFull so the HTTP
 //     layer can answer 429 with a Retry-After hint;
 //   - batch items are admitted with a blocking send (bounded by the
 //     request context), which is the backpressure that keeps a large
-//     batch from flooding the queue past its depth.
+//     batch from flooding the queue past its depth;
+//   - after Close, both disciplines return ErrClosed and count it shed.
 //
 // Counter contract, relied on by the soak test:
 //
@@ -39,7 +40,8 @@ import (
 // capacity. The request did no scheduling work.
 var ErrQueueFull = errors.New("serve: admission queue full")
 
-// ErrClosed is returned for submissions after Close.
+// ErrClosed is returned for submissions after Close. They count as
+// shed, so the admission ledger still balances.
 var ErrClosed = errors.New("serve: pipeline closed")
 
 // Config sizes the pipeline. Zero values pick defaults.
@@ -92,13 +94,14 @@ type Result struct {
 	Err      error
 }
 
+// task is one unit of work: heuristic s on g, or, with quality set,
+// the anytime optimizer under its refinement budget (the request
+// context still bounds the run).
 type task struct {
-	ctx   context.Context
-	s     heuristics.Scheduler
-	g     *dag.Graph
-	index int
-	// quality selects the anytime optimizer instead of s; budget is its
-	// refinement allowance (the request context still bounds the run).
+	ctx     context.Context
+	s       heuristics.Scheduler
+	g       *dag.Graph
+	index   int
 	quality bool
 	budget  time.Duration
 	enq     time.Time
@@ -157,7 +160,7 @@ func New(cfg Config, reg *obs.Registry) *Pipeline {
 		admitted: reg.Counter("serve_admitted_total",
 			"Requests accepted into the queue."),
 		shed: reg.Counter("serve_shed_total",
-			"Requests rejected because the queue was full."),
+			"Requests rejected at admission: queue full, context ended while waiting for a slot, or pipeline closed."),
 		completed: reg.Counter("serve_completed_total",
 			"Requests that produced a validated schedule."),
 		failed: reg.Counter("serve_failed_total",
@@ -184,60 +187,65 @@ func (p *Pipeline) QueueDepth() int { return p.cfg.QueueDepth }
 // the queued work is still drained by a worker (and counted), but the
 // caller gets ctx's error right away.
 func (p *Pipeline) Schedule(ctx context.Context, s heuristics.Scheduler, g *dag.Graph) (*sched.Schedule, error) {
-	p.submitted.Inc()
-	done := make(chan Result, 1)
-	t := task{ctx: ctx, s: s, g: g, enq: time.Now(), done: done}
-
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	select {
-	case p.queue <- t:
-		p.mu.RUnlock()
-		p.admitted.Inc()
-		p.depth.Add(1)
-	default:
-		p.mu.RUnlock()
-		p.shed.Inc()
-		return nil, ErrQueueFull
-	}
-
-	select {
-	case r := <-done:
-		return r.Schedule, r.Err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	r := p.await(task{ctx: ctx, s: s, g: g}, false)
+	return r.Schedule, r.Err
 }
 
-// submit is the blocking-admission path used for batch items: it
-// waits for queue space (the backpressure bound) unless ctx ends
-// first. Results arrive on done, which must have capacity for every
-// outstanding submission so workers never block on delivery.
-func (p *Pipeline) submit(ctx context.Context, s heuristics.Scheduler, g *dag.Graph, index int, done chan<- Result) error {
+// admit offers t to the queue. It is the only code that sends on the
+// queue or moves the admission ledger: every call counts submitted and
+// then exactly one of admitted or shed. blocking selects the discipline:
+// single requests shed with ErrQueueFull when the queue is full; batch
+// items wait for a slot unless t.ctx ends first. After Close both get
+// ErrClosed. t.done must have room for the worker's result.
+func (p *Pipeline) admit(t task, blocking bool) error {
 	p.submitted.Inc()
-	t := task{ctx: ctx, s: s, g: g, index: index, enq: time.Now(), done: done}
-
+	t.enq = time.Now()
+	var err error
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.closed {
-		p.shed.Inc()
-		return ErrClosed
+	switch {
+	case p.closed:
+		err = ErrClosed
+	case blocking:
+		// Blocking admission under the read lock is the backpressure
+		// contract. A blocked submitter can stall Close's write lock
+		// only until a worker (which never takes p.mu) drains a slot or
+		// ctx fires, so liveness holds and closed/queue stay consistent.
+		select { //lint:lockheld
+		case p.queue <- t:
+		case <-t.ctx.Done():
+			err = t.ctx.Err()
+		}
+	default:
+		select {
+		case p.queue <- t:
+		default:
+			err = ErrQueueFull
+		}
 	}
-	// Blocking admission under the read lock is the backpressure
-	// contract. A blocked submitter can stall Close's write lock only
-	// until a worker (which never takes p.mu) drains a slot or ctx
-	// fires, so liveness holds and closed/queue stay consistent.
-	select { //lint:lockheld
-	case p.queue <- t:
-		p.admitted.Inc()
-		p.depth.Add(1)
-		return nil
-	case <-ctx.Done():
+	if err != nil {
 		p.shed.Inc()
-		return ctx.Err()
+		return err
+	}
+	p.admitted.Inc()
+	p.depth.Add(1)
+	return nil
+}
+
+// await admits t and waits for the worker's result or t.ctx, whichever
+// comes first. An abandoned task is still drained and counted by its
+// worker; done is buffered so that worker never blocks.
+func (p *Pipeline) await(t task, blocking bool) Result {
+	done := make(chan Result, 1)
+	t.done = done
+	if err := p.admit(t, blocking); err != nil {
+		return Result{Err: err}
+	}
+	select {
+	case r := <-done:
+		return r
+	case <-t.ctx.Done():
+		return Result{Err: t.ctx.Err()}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"schedcomp/internal/heuristics/schedtest"
 	"schedcomp/internal/obs"
 	"schedcomp/internal/sched"
+	"schedcomp/internal/schedcache"
 	"schedcomp/internal/serve"
 
 	_ "schedcomp/internal/heuristics/dsc"
@@ -38,13 +39,26 @@ func soakDuration(t *testing.T) time.Duration {
 // and deliberate queue-full bursts, then checks that nothing leaked:
 // every goroutine is gone after Close and the obs counters reconcile
 // exactly (submitted = admitted + shed, admitted = completed + failed
-// + cancelled).
+// + cancelled). It runs once without a cache and once with one, so the
+// cached single path and the cached batch fan-out soak too.
 func TestSoakPipeline(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cache *schedcache.Cache
+	}{
+		{"uncached", nil},
+		{"cached", schedcache.New(schedcache.Config{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) { soakPipeline(t, tc.cache) })
+	}
+}
+
+func soakPipeline(t *testing.T, cache *schedcache.Cache) {
 	baseline := runtime.NumGoroutine()
 
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
-	p := serve.New(serve.Config{Workers: 4, QueueDepth: 8}, reg)
+	p := serve.New(serve.Config{Workers: 4, QueueDepth: 8, Cache: cache}, reg)
 
 	soakNames := []string{"MCP", "ETF", "HU", "LC", "DSC"}
 	deadline := time.Now().Add(soakDuration(t))
@@ -96,13 +110,16 @@ func TestSoakPipeline(t *testing.T) {
 						burst.Add(1)
 						go func() {
 							defer burst.Done()
-							sc, err := p.Schedule(ctx, s, g)
+							sc, _, err := p.ScheduleCached(ctx, s, g)
 							soakCheck(t, sc, err, &cancellations, &sheds, &schedules)
 						}()
 					}
 					burst.Wait()
-				default: // plain single request
+				case 2: // plain single request, never cached
 					sc, err := p.Schedule(ctx, s, g)
+					soakCheck(t, sc, err, &cancellations, &sheds, &schedules)
+				default: // single request through the cache, if any
+					sc, _, err := p.ScheduleCached(ctx, s, g)
 					soakCheck(t, sc, err, &cancellations, &sheds, &schedules)
 				}
 				cancel()
