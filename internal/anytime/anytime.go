@@ -189,6 +189,11 @@ type optimizer struct {
 
 	improvements int
 	pos          []int // scratch for mutateOrder
+	dec          decoder
+	// spare holds chromosomes dropped from the population, whose
+	// slices back later offspring; taken is crossover scratch.
+	spare []chromosome
+	taken []bool
 }
 
 func (o *optimizer) tournament() chromosome {
@@ -204,11 +209,17 @@ func (o *optimizer) tournament() chromosome {
 func (o *optimizer) offspring() (chromosome, *sched.Schedule, error) {
 	pa := o.tournament()
 	var child chromosome
+	if k := len(o.spare); k > 0 {
+		child, o.spare = o.spare[k-1], o.spare[:k-1]
+	} else {
+		child = chromosome{order: make([]dag.NodeID, o.n), proc: make([]int, o.n)}
+	}
 	if o.n >= 2 && o.rng.Intn(10) < 9 {
 		pb := o.tournament()
-		child = crossover(pa, pb, 1+o.rng.Intn(o.n-1))
+		child = crossover(child, pa, pb, 1+o.rng.Intn(o.n-1), o.taken)
 	} else {
-		child = pa.clone()
+		copy(child.order, pa.order)
+		copy(child.proc, pa.proc)
 	}
 	if o.rng.Intn(10) < 9 {
 		mutateProc(child, o.rng, o.procs)
@@ -216,7 +227,7 @@ func (o *optimizer) offspring() (chromosome, *sched.Schedule, error) {
 	if o.n >= 2 && o.rng.Intn(2) == 0 {
 		mutateOrder(o.g, child, o.rng, o.pos)
 	}
-	sc, err := child.build(o.g)
+	sc, err := o.dec.decode(o.g, child)
 	if err != nil {
 		return chromosome{}, nil, err
 	}
@@ -264,6 +275,9 @@ func (o *optimizer) generation(ctx context.Context, deadline time.Time) (timedOu
 		next = append(next, child)
 	}
 	sort.SliceStable(next, func(i, j int) bool { return next[i].mk < next[j].mk })
+	// Only the elite carried over into next; no one else holds the
+	// rest of the old population's slices (o.best is read for its mk).
+	o.spare = append(o.spare, o.pop[elite:]...)
 	o.pop = next
 	return false, nil
 }
@@ -367,10 +381,11 @@ func Optimize(ctx context.Context, g *dag.Graph, opts Options) (*Result, error) 
 	}
 
 	o := &optimizer{
-		g:   g,
-		n:   n,
-		rng: rand.New(rand.NewSource(structSeed(g) ^ opts.Seed)),
-		pos: make([]int, n),
+		g:     g,
+		n:     n,
+		rng:   rand.New(rand.NewSource(structSeed(g) ^ opts.Seed)),
+		pos:   make([]int, n),
+		taken: make([]bool, n),
 	}
 	seedName := ""
 	for _, s := range seeds {
@@ -414,7 +429,7 @@ func Optimize(ctx context.Context, g *dag.Graph, opts Options) (*Result, error) 
 		if n >= 2 && o.rng.Intn(2) == 0 {
 			mutateOrder(g, c, o.rng, o.pos)
 		}
-		sc, err := c.build(g)
+		sc, err := o.dec.decode(g, c)
 		if err != nil {
 			return nil, err
 		}

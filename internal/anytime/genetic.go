@@ -2,6 +2,7 @@ package anytime
 
 import (
 	"math/rand"
+	"slices"
 
 	"schedcomp/internal/dag"
 	"schedcomp/internal/pq"
@@ -26,14 +27,49 @@ func (c chromosome) clone() chromosome {
 	}
 }
 
-// build decodes the chromosome into a timed schedule via the greedy
-// re-timing builder.
-func (c chromosome) build(g *dag.Graph) (*sched.Schedule, error) {
-	pl := sched.NewPlacement(g.NumNodes())
-	for _, v := range c.order {
-		pl.Assign(v, c.proc[v])
+// decoder decodes chromosomes into timed schedules via the greedy
+// re-timing builder, through one placement whose buffers it reuses:
+// the GA decodes every offspring, and a fresh placement per decode made
+// up most of the quality tier's garbage.
+type decoder struct {
+	pl      sched.Placement
+	count   []int        // per chromosome processor: tasks, then placement index
+	backing []dag.NodeID // every processor's order, back to back
+}
+
+// decode lays c out as a placement whose used processors are numbered
+// densely in index order — the layout Build's Compact produces, so it
+// has nothing left to drop — and builds its schedule.
+func (d *decoder) decode(g *dag.Graph, c chromosome) (*sched.Schedule, error) {
+	if n := len(c.proc); len(d.pl.Proc) != n {
+		d.pl.Proc = make([]int, n)
+		d.backing = make([]dag.NodeID, n)
 	}
-	return sched.Build(g, pl)
+	procs := 0
+	for _, p := range c.proc {
+		procs = max(procs, p+1)
+	}
+	d.count = slices.Grow(d.count[:0], procs)[:procs]
+	clear(d.count)
+	for _, p := range c.proc {
+		d.count[p]++
+	}
+	d.pl.Order = d.pl.Order[:0]
+	off := 0
+	for p, k := range d.count {
+		if k == 0 {
+			continue
+		}
+		d.count[p] = len(d.pl.Order)
+		d.pl.Order = append(d.pl.Order, d.backing[off:off:off+k])
+		off += k
+	}
+	for _, v := range c.order {
+		p := d.count[c.proc[v]]
+		d.pl.Proc[v] = p
+		d.pl.Order[p] = append(d.pl.Order[p], v)
+	}
+	return sched.Build(g, &d.pl)
 }
 
 // fromSchedule extracts a chromosome from an existing schedule: the
@@ -82,11 +118,11 @@ func fromSchedule(sc *sched.Schedule) chromosome {
 // tasks in parent b's relative order (with b's placements). A prefix
 // of a topological order is downward closed, and b's order restricted
 // to the complement keeps every predecessor before its successors, so
-// the child is always topologically consistent.
-func crossover(a, b chromosome, cut int) chromosome {
-	n := len(a.order)
-	child := chromosome{order: make([]dag.NodeID, 0, n), proc: make([]int, n)}
-	taken := make([]bool, n)
+// the child is always topologically consistent. The child is written
+// into child's slices (length n); taken is scratch of length n.
+func crossover(child, a, b chromosome, cut int, taken []bool) chromosome {
+	clear(taken)
+	child.order = child.order[:0]
 	for _, v := range a.order[:cut] {
 		child.order = append(child.order, v)
 		child.proc[v] = a.proc[v]

@@ -69,6 +69,7 @@ func randomChromosome(g *dag.Graph, rng *rand.Rand, pos []int) chromosome {
 // Offspring of crossover and both mutations must always be
 // topologically consistent — the invariant the whole GA rests on.
 func TestOffspringAlwaysTopoConsistent(t *testing.T) {
+	var dec decoder // shared across graphs and trials, as in a run
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(24)
@@ -79,13 +80,13 @@ func TestOffspringAlwaysTopoConsistent(t *testing.T) {
 		requireTopoConsistent(t, g, a.order)
 		requireTopoConsistent(t, g, b.order)
 		for trial := 0; trial < 40; trial++ {
-			child := crossover(a, b, 1+rng.Intn(n-1))
+			child := crossover(a.clone(), a, b, 1+rng.Intn(n-1), make([]bool, n))
 			requireTopoConsistent(t, g, child.order)
 			mutateOrder(g, child, rng, pos)
 			requireTopoConsistent(t, g, child.order)
 			mutateProc(child, rng, n)
 			// A mutated child must still decode to a valid schedule.
-			sc, err := child.build(g)
+			sc, err := dec.decode(g, child)
 			if err != nil {
 				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
 			}
@@ -128,7 +129,7 @@ func TestFromScheduleStartTimeTies(t *testing.T) {
 		t.Errorf("chromosome makespan %d != schedule %d", chr.mk, sc.Makespan)
 	}
 	// Round trip: decoding must reproduce the makespan.
-	sc2, err := chr.build(g)
+	sc2, err := new(decoder).decode(g, chr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestFromScheduleRoundTrip(t *testing.T) {
 		}
 		chr := fromSchedule(sc)
 		requireTopoConsistent(t, g, chr.order)
-		sc2, err := chr.build(g)
+		sc2, err := new(decoder).decode(g, chr)
 		if err != nil {
 			t.Fatal(err)
 		}

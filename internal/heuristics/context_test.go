@@ -17,21 +17,26 @@ import (
 // trippingContext reports cancellation after a fixed number of Err
 // polls, so tests can cancel a scheduler deterministically in the
 // middle of its main loop (wall-clock cancellation would be racy).
+// The tripped error is context.Canceled unless err is set.
 type trippingContext struct {
 	context.Context
 	mu    sync.Mutex
 	calls int
 	fuse  int
+	err   error
 }
 
 func (c *trippingContext) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls++
-	if c.calls > c.fuse {
-		return context.Canceled
+	if c.calls <= c.fuse {
+		return nil
 	}
-	return nil
+	if c.err != nil {
+		return c.err
+	}
+	return context.Canceled
 }
 
 func (c *trippingContext) polled() int {
@@ -165,5 +170,31 @@ func TestRunContextBackgroundUnchanged(t *testing.T) {
 		if a.Makespan != b.Makespan {
 			t.Errorf("%s: Run and RunContext disagree: %d vs %d", name, a.Makespan, b.Makespan)
 		}
+	}
+}
+
+// serialSched ignores contexts and places the whole graph on one
+// processor, so every RunContext poll is one of RunContext's own.
+type serialSched struct{}
+
+func (serialSched) Name() string { return "SERIAL" }
+func (serialSched) Schedule(g *dag.Graph) (*sched.Placement, error) {
+	return sched.Serial(g)
+}
+
+// TestRunContextDeadlineDuringBuild pins "never a result built after
+// its deadline" past the last pipeline stage: the context expires on
+// its third poll, after RunContext's up-front and post-Schedule polls,
+// so while Build and Validate run. The finished schedule must be
+// dropped and the deadline reported.
+func TestRunContextDeadlineDuringBuild(t *testing.T) {
+	ctx := &trippingContext{Context: context.Background(), fuse: 2, err: context.DeadlineExceeded}
+	g := schedtest.RandomDAG(rand.New(rand.NewSource(6)), 20, 0.2)
+	sc, err := heuristics.RunContext(ctx, serialSched{}, g)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if sc != nil {
+		t.Fatal("schedule built past its deadline was returned")
 	}
 }

@@ -28,9 +28,11 @@ package ez
 
 import (
 	"context"
+	"math/bits"
 	"sort"
 
 	"schedcomp/internal/arena"
+	"schedcomp/internal/bitset"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
 	"schedcomp/internal/sched"
@@ -166,9 +168,13 @@ type state struct {
 	tf      []int64 // trial finish
 	tfEp    []int32
 	member  []int32      // stamp: node is in one of the two merging clusters
-	inHeap  []int32      // stamp: rank already pushed this trial
-	heap    []int32      // min-heap of ranks → retime in global order
 	touched []dag.NodeID // nodes stamped this trial, for commit
+
+	// Retiming frontier: a bitset over global ranks, popped in
+	// ascending order by a forward-only cursor (a word index).
+	frontier []uint64
+	cursor   int
+	pending  int
 }
 
 // Every index used by the state methods is a NodeID or a rank in
@@ -197,9 +203,9 @@ func newState(g *dag.Graph, level []int64, sc *arena.Scratch) *state {
 		tf:      sc.Int64s(n),
 		tfEp:    sc.Int32s(n),
 		member:  sc.Int32s(n),
-		inHeap:  sc.Int32s(n),
-		heap:    sc.Int32s(n)[:0],
 		touched: sc.NodeIDs(n)[:0],
+
+		frontier: sc.Words(bitset.WordsFor(n)),
 	}
 	for i := range st.ord {
 		st.ord[i] = dag.NodeID(i)
@@ -264,59 +270,35 @@ func (s *state) trialRoot(x, ra, rb int) int {
 	return rb
 }
 
-// push schedules node v for retiming this trial (deduplicated).
-//
-//lint:boundedidx heap indexes stay below len(h); ranks are in [0,n)
+// push schedules node v for retiming this trial. Setting an already
+// pending bit is a no-op, so pushes deduplicate for free.
 func (s *state) push(v dag.NodeID) {
-	if s.inHeap[v] == s.epoch {
-		return
+	r := s.rank[v]
+	w, b := &s.frontier[r>>6], uint64(1)<<(r&63)
+	if *w&b == 0 {
+		*w |= b
+		s.pending++
 	}
-	s.inHeap[v] = s.epoch
-	h := append(s.heap, s.rank[v])
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	s.heap = h
 }
 
-// pop removes and returns the smallest pending rank.
+// pop removes and returns the smallest pending rank. Every push made
+// during a trial targets a rank above the last pop, so the scan only
+// ever moves forward from the cursor.
 //
-//lint:boundedidx child/parent heap indexes are guarded against len(h)
+//lint:boundedidx pending > 0 guarantees a set bit at or after the cursor
 func (s *state) pop() int32 {
-	h := s.heap
-	r := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	if len(h) > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				break
-			}
-			if rc := c + 1; rc < len(h) && h[rc] < h[c] {
-				c = rc
-			}
-			if last <= h[c] {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
+	for s.frontier[s.cursor] == 0 {
+		s.cursor++
 	}
-	s.heap = h
-	return r
+	w := s.frontier[s.cursor]
+	s.frontier[s.cursor] = w & (w - 1)
+	s.pending--
+	return int32(s.cursor<<6 | bits.TrailingZeros64(w))
 }
 
 // trial prices merging the clusters rooted at ra and rb and returns
 // the resulting makespan, leaving the committed state untouched. It
-// seeds the retiming heap with both clusters' members and then chases
+// seeds the retiming frontier with both clusters' members and then chases
 // the change cone: a node is re-timed only if a predecessor's finish,
 // its queue predecessor's finish, or one of its communication costs
 // may have changed, and propagation stops wherever the recomputed
@@ -325,7 +307,7 @@ func (s *state) pop() int32 {
 //lint:boundedidx indexes are NodeIDs/ranks in [0,n), slices carved at n
 func (s *state) trial(ra, rb int) int64 {
 	s.epoch++
-	s.heap = s.heap[:0]
+	s.cursor = int(min(s.rank[s.head[ra]], s.rank[s.head[rb]]) >> 6)
 	s.touched = s.touched[:0]
 	for x := s.head[ra]; x != -1; x = s.qnext[x] {
 		s.member[x] = s.epoch
@@ -337,7 +319,7 @@ func (s *state) trial(ra, rb int) int64 {
 	}
 
 	lastMerged := dag.NodeID(-1) // most recently re-timed member: v's trial queue predecessor
-	for len(s.heap) > 0 {
+	for s.pending > 0 {
 		v := s.ord[s.pop()]
 		isMember := s.member[v] == s.epoch
 		var start int64

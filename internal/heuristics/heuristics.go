@@ -146,6 +146,12 @@ func RunContext(ctx context.Context, s Scheduler, g *dag.Graph) (*sched.Schedule
 		m.failValidate.Inc()
 		return nil, fmt.Errorf("%s: %w", s.Name(), err)
 	}
+	// Build and Validate run to completion; a deadline that passed
+	// while they ran still voids the result.
+	if err := ctx.Err(); err != nil {
+		m.cancelled.Inc()
+		return nil, err
+	}
 	if enabled {
 		m.seconds.Observe(time.Since(t0).Seconds())
 	}

@@ -93,7 +93,22 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 	proc := make([]int, n)
 	finish := make([]int64, n)
 	scheduledPreds := make([]int, n)
-	var procFree []int64
+	// procFree[p] is processor p's idle time for p < used; a task
+	// never opens more than one processor, so n slots suffice.
+	procFree := make([]int64, n)
+	used := 0
+	// On a bounded machine under EarliestAvailable, the used
+	// processors sit in a heap keyed by (idle time, index). A key moves
+	// only when its processor receives a task, so once the machine is
+	// full pick pops the winner and place pushes it back: O(log P) per
+	// task instead of a scan.
+	bounded := h.Policy == EarliestAvailable && h.MaxProcs > 0
+	byIdle := pq.New(func(a, b int) bool {
+		if procFree[a] != procFree[b] {
+			return procFree[a] < procFree[b]
+		}
+		return a < b
+	})
 
 	arrive := func(v dag.NodeID, p int) int64 {
 		var t int64
@@ -110,8 +125,8 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 	}
 
 	place := func(v dag.NodeID, p int) {
-		if p == len(procFree) {
-			procFree = append(procFree, 0)
+		if p == used {
+			used++
 		}
 		start := arrive(v, p)
 		if procFree[p] > start {
@@ -120,6 +135,9 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 		proc[v] = p
 		finish[v] = start + g.Weight(v)
 		procFree[p] = finish[v]
+		if bounded {
+			byIdle.Push(p)
+		}
 		pl.Assign(v, p)
 		for _, a := range g.Succs(v) {
 			scheduledPreds[a.To]++
@@ -130,26 +148,26 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 	}
 
 	pick := func(v dag.NodeID) int {
-		candidates := len(procFree)
-		if h.MaxProcs == 0 || candidates < h.MaxProcs {
-			candidates++ // one fresh processor
+		fresh := h.MaxProcs == 0 || used < h.MaxProcs
+		if h.Policy == EarliestAvailable {
+			// Node weights are positive, so every used processor is
+			// busy until a positive time and a fresh one, idle from 0,
+			// wins while the machine has room.
+			if fresh {
+				return used
+			}
+			return byIdle.Pop()
+		}
+		candidates := used
+		if fresh {
+			candidates++
 		}
 		bestP := -1
 		var bestKey int64
 		for p := 0; p < candidates; p++ {
-			var key int64
-			var idle int64
-			if p < len(procFree) {
-				idle = procFree[p]
-			}
-			switch h.Policy {
-			case EarliestAvailable:
-				key = idle
-			case EarliestStart:
-				key = arrive(v, p)
-				if idle > key {
-					key = idle
-				}
+			key := arrive(v, p)
+			if procFree[p] > key {
+				key = procFree[p]
 			}
 			if bestP == -1 || key < bestKey {
 				bestP, bestKey = p, key

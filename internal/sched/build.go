@@ -10,9 +10,9 @@ import (
 // edge weight when crossing processors) and (b) its processor has
 // finished every task that precedes it in the placement order.
 //
-// Build commits tasks one at a time, always the ready queue head with
-// the smallest feasible start time (ties to the lower processor), so
-// the result is deterministic. It returns an error if the placement
+// Each start time is fixed by (a) and (b) alone, so the result is
+// deterministic and independent of the order in which Build commits
+// ready queue heads. It returns an error if the placement
 // does not cover the graph or if the per-processor orders deadlock
 // against the precedence constraints (which cannot happen for orders
 // produced by a priority-driven heuristic, but is checked anyway).

@@ -13,11 +13,11 @@ import (
 // nothing and a disabled registry costs three atomic loads per call.
 var (
 	buildCandHits = obs.Default().Counter("sched_build_cand_cache_hits_total",
-		"Candidate start times reused from the per-processor cache.")
+		"Ready candidate start times left waiting, unrecomputed, at each commit.")
 	buildCandMisses = obs.Default().Counter("sched_build_cand_cache_misses_total",
-		"Candidate start times recomputed (dirty processors).")
+		"Candidate start times recomputed (committing and woken processors).")
 	buildWakeups = obs.Default().Counter("sched_build_waiter_wakeups_total",
-		"Processors re-dirtied because the node their head waited on finished.")
+		"Processors woken because the node their head waited on finished.")
 )
 
 // DelayFunc computes the communication delay for a message of the
@@ -49,20 +49,21 @@ func BuildWith(g *dag.Graph, pl *Placement, delay DelayFunc) (*Schedule, error) 
 	return buildWith(g, pl, delay)
 }
 
-// candBlocked marks a processor with no schedulable queue head.
-const candBlocked = int64(^uint64(0) >> 1)
-
 // buildWith is BuildWith for placements already known to pass Check.
 //
-// Rather than rescanning every processor's queue head each round, the
-// loop caches each processor's candidate start time and recomputes only
-// the entries a commitment can have changed: the committing processor
-// itself (its queue advanced and its free time moved) and any processor
-// whose head was blocked on the committed node (tracked by the waiter
-// lists). A cached candidate cannot go stale any other way — a ready
-// head's start time depends only on its (already finished) predecessors
-// and its own processor's free time — so the incremental loop commits
-// the identical task sequence the full rescan would.
+// A task's start time is the maximum of its processor's free time (the
+// finish of the task before it in the queue) and its predecessors'
+// data arrival times, so the schedule is the same in whatever order
+// ready queue heads are committed. Each processor's head is either
+// ready, with that start time as its candidate, or parked on its first
+// unfinished predecessor (waiter lists). Ready processors wait on a
+// stack; after a commit only the committing processor and the
+// processors woken by the committed node are recomputed, and a parked
+// head resumes its predecessor scan where it stopped. The build costs
+// O(P + n + E + wakeups) instead of a scan of all P processors per
+// committed task.
+//
+//lint:boundedidx nodes come from the checked placement (< n), processors from the stack (< numProcs)
 func buildWith(g *dag.Graph, pl *Placement, delay DelayFunc) (*Schedule, error) {
 	if delay == nil {
 		delay = UniformDelay
@@ -73,110 +74,123 @@ func buildWith(g *dag.Graph, pl *Placement, delay DelayFunc) (*Schedule, error) 
 	if n == 0 {
 		return s, nil
 	}
-	csr := g.CSR()
 	// Working arrays come zeroed from the pooled arena; only the
 	// resulting Schedule's ByNode escapes the call.
 	scratch := arena.Get()
 	defer scratch.Release()
-	done := scratch.Bools(n)
-	finish := scratch.Int64s(n)
-	// waiterHead[v] is the first processor whose queue head is blocked
-	// on node v, waiterNext chains the rest (each processor waits on at
-	// most one node at a time).
-	waiterHead := scratch.Int32s(n)
-	head := scratch.Ints(numProcs)
-	free := scratch.Int64s(numProcs)
-	// cand[p] caches processor p's candidate start time (candBlocked
-	// when its queue head is not ready or the queue is empty);
-	// candDirty marks entries that must be recomputed this round.
-	cand := scratch.Int64s(numProcs)
-	candDirty := scratch.Bools(numProcs)
-	waiterNext := scratch.Int32s(numProcs)
-	for i := range waiterHead {
-		waiterHead[i] = -1
+	b := builder{
+		pl:         pl,
+		csr:        g.CSR(),
+		delay:      delay,
+		done:       scratch.Bools(n),
+		finish:     scratch.Int64s(n),
+		waiterHead: scratch.Int32s(n),
+		waiterNext: scratch.Int32s(numProcs),
+		head:       scratch.Ints(numProcs),
+		scan:       scratch.Ints(numProcs),
+		free:       scratch.Int64s(numProcs),
+		cand:       scratch.Int64s(numProcs),
+		ready:      scratch.Int32s(numProcs)[:0],
 	}
-	for p := range candDirty {
-		candDirty[p] = true
+	for i := range b.waiterHead {
+		b.waiterHead[i] = -1
 	}
-	remaining := n
-	var candHits, candMisses, wakeups uint64
-	for remaining > 0 {
-		for p := 0; p < numProcs; p++ {
-			if !candDirty[p] {
-				candHits++
-				continue
-			}
-			candMisses++
-			candDirty[p] = false
-			if head[p] >= len(pl.Order[p]) {
-				cand[p] = candBlocked
-				continue
-			}
-			v := pl.Order[p][head[p]]
-			var start int64
-			ready := true
-			preds, ws := csr.Preds(v)
-			for j, u := range preds {
-				if !done[u] {
-					// Park p on the first unfinished predecessor; its
-					// completion re-dirties the candidate.
-					waiterNext[p] = waiterHead[u]
-					waiterHead[u] = int32(p)
-					ready = false
-					break
-				}
-				if t := finish[u] + delay(pl.Proc[u], p, ws[j]); t > start {
-					start = t
-				}
-			}
-			if !ready {
-				cand[p] = candBlocked
-				continue
-			}
-			if start < free[p] {
-				start = free[p]
-			}
-			cand[p] = start
-		}
-		// Commit the smallest candidate (ties to the lower processor).
-		bestProc := -1
-		var bestStart int64
-		for p := 0; p < numProcs; p++ {
-			if cand[p] == candBlocked {
-				continue
-			}
-			if bestProc == -1 || cand[p] < bestStart {
-				bestProc, bestStart = p, cand[p]
-			}
-		}
-		if bestProc == -1 {
+	for p := 0; p < numProcs; p++ {
+		b.refresh(p)
+	}
+	var candHits, wakeups uint64
+	for remaining := n; remaining > 0; remaining-- {
+		if len(b.ready) == 0 {
 			buildCandHits.Add(candHits)
-			buildCandMisses.Add(candMisses)
+			buildCandMisses.Add(b.misses)
 			buildWakeups.Add(wakeups)
 			return nil, fmt.Errorf("sched: placement order deadlocks against precedence (%d tasks left)", remaining)
 		}
-		bestNode := pl.Order[bestProc][head[bestProc]]
-		f := bestStart + g.Weight(bestNode)
-		s.ByNode[bestNode] = Assignment{Node: bestNode, Proc: bestProc, Start: bestStart, Finish: f}
-		done[bestNode] = true
-		finish[bestNode] = f
-		free[bestProc] = f
-		head[bestProc]++
-		remaining--
-		candDirty[bestProc] = true
-		for w := waiterHead[bestNode]; w != -1; w = waiterNext[w] {
-			candDirty[w] = true
-			wakeups++
-		}
-		waiterHead[bestNode] = -1
+		p := int(b.ready[len(b.ready)-1])
+		b.ready = b.ready[:len(b.ready)-1]
+		candHits += uint64(len(b.ready))
+		start := b.cand[p]
+		v := pl.Order[p][b.head[p]]
+		f := start + g.Weight(v)
+		s.ByNode[v] = Assignment{Node: v, Proc: p, Start: start, Finish: f}
 		if f > s.Makespan {
 			s.Makespan = f
 		}
+		b.done[v] = true
+		b.finish[v] = f
+		b.free[p] = f
+		b.head[p]++
+		b.scan[p], b.cand[p] = 0, 0
+		b.refresh(p)
+		// Detach v's waiter list before walking it: a woken processor
+		// may park again, relinking its waiterNext entry.
+		w := b.waiterHead[v]
+		b.waiterHead[v] = -1
+		for w != -1 {
+			next := b.waiterNext[w]
+			b.refresh(int(w))
+			wakeups++
+			w = next
+		}
 	}
 	buildCandHits.Add(candHits)
-	buildCandMisses.Add(candMisses)
+	buildCandMisses.Add(b.misses)
 	buildWakeups.Add(wakeups)
 	return s, nil
+}
+
+// builder is the working state of one buildWith call; every slice is
+// arena scratch, indexed by node (done, finish, waiterHead) or by
+// processor (the rest).
+type builder struct {
+	pl    *Placement
+	csr   *dag.CSR
+	delay DelayFunc
+
+	done   []bool
+	finish []int64
+	// waiterHead[v] is the first processor whose queue head is parked
+	// on node v; waiterNext chains the rest (a processor waits on at
+	// most one node at a time).
+	waiterHead []int32
+	waiterNext []int32
+	head       []int   // position of each processor's queue head
+	scan       []int   // predecessors of the head already seen finished
+	free       []int64 // finish time of each processor's last task
+	// cand[p] is p's candidate start while p is ready, and the partial
+	// maximum over its head's first scan[p] predecessors while parked.
+	cand   []int64
+	ready  []int32 // stack of processors with a ready head
+	misses uint64  // candidate recomputations, for the obs counter
+}
+
+// refresh recomputes processor p's candidate start after its queue
+// head advanced or the node it waited on finished: p either joins the
+// ready stack or parks on the head's next unfinished predecessor.
+//
+//lint:boundedidx p < numProcs and predecessor IDs < n, the lengths the slices were carved at
+func (b *builder) refresh(p int) {
+	b.misses++
+	q := b.pl.Order[p]
+	if b.head[p] >= len(q) {
+		return // queue drained
+	}
+	preds, ws := b.csr.Preds(q[b.head[p]])
+	start := b.cand[p]
+	for j := b.scan[p]; j < len(preds); j++ {
+		u := preds[j]
+		if !b.done[u] {
+			b.scan[p], b.cand[p] = j, start
+			b.waiterNext[p] = b.waiterHead[u]
+			b.waiterHead[u] = int32(p)
+			return
+		}
+		if t := b.finish[u] + b.delay(b.pl.Proc[u], p, ws[j]); t > start {
+			start = t
+		}
+	}
+	b.cand[p] = max(start, b.free[p])
+	b.ready = append(b.ready, int32(p))
 }
 
 // ValidateWith checks the schedule under an arbitrary delay model.

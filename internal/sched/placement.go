@@ -70,6 +70,9 @@ func (pl *Placement) NumProcs() int {
 // empty ones removed, preserving relative order. It returns pl for
 // chaining.
 func (pl *Placement) Compact() *Placement {
+	if pl.NumProcs() == len(pl.Order) {
+		return pl // no empty processor to drop
+	}
 	scratch := arena.Get()
 	defer scratch.Release()
 	remap := scratch.Ints(len(pl.Order))

@@ -1,11 +1,11 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 
+	"schedcomp/internal/arena"
 	"schedcomp/internal/dag"
 )
 
@@ -75,6 +75,7 @@ func (s *Schedule) Validate() error {
 	if len(s.ByNode) != n {
 		return fmt.Errorf("sched: schedule covers %d nodes, graph has %d", len(s.ByNode), n)
 	}
+	var maxStart int64
 	for i, a := range s.ByNode {
 		if int(a.Node) != i {
 			return fmt.Errorf("sched: ByNode[%d] holds node %d", i, a.Node)
@@ -92,26 +93,10 @@ func (s *Schedule) Validate() error {
 		if a.Finish > s.Makespan {
 			return fmt.Errorf("sched: node %d finishes at %d beyond makespan %d", i, a.Finish, s.Makespan)
 		}
+		maxStart = max(maxStart, a.Start)
 	}
-	// No overlap per processor: one pass over the assignments sorted
-	// by (processor, start) rather than a per-processor scan of the
-	// whole node list (Validate runs once per schedule on the testbed
-	// hot path).
-	byProc := make([]Assignment, n)
-	copy(byProc, s.ByNode)
-	slices.SortFunc(byProc, func(a, b Assignment) int {
-		if a.Proc != b.Proc {
-			return a.Proc - b.Proc
-		}
-		return cmp.Compare(a.Start, b.Start)
-	})
-	for i := 1; i < len(byProc); i++ {
-		prev, cur := byProc[i-1], byProc[i]
-		if cur.Proc == prev.Proc && cur.Start < prev.Finish {
-			return fmt.Errorf("sched: processor %d overlap: node %d [%d,%d) vs node %d [%d,%d)",
-				cur.Proc, prev.Node, prev.Start, prev.Finish,
-				cur.Node, cur.Start, cur.Finish)
-		}
+	if err := s.checkOverlap(maxStart); err != nil {
+		return err
 	}
 	// Precedence + communication.
 	for v := 0; v < n; v++ {
@@ -129,4 +114,86 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkOverlap reports the first pair of overlapping tasks on one
+// processor, in (processor, start) order, for a schedule whose
+// processors and start times Validate has already range-checked.
+//
+// The node indices are ordered by an LSD radix sort in arena scratch:
+// stable counting passes over the digits of the composite key
+// (processor, start), with a digit base 2^width > n. Scratch stays O(n)
+// however large NumProcs is, the worst case is O(n) per 1+log2(n) key
+// bits, and no comparison sort or copy of the assignments is involved.
+//
+//lint:boundedidx idx holds a permutation of [0,n), the index range of ByNode
+func (s *Schedule) checkOverlap(maxStart int64) error {
+	n := len(s.ByNode)
+	if n == 0 {
+		return nil
+	}
+	scratch := arena.Get()
+	defer scratch.Release()
+	width := bits.Len(uint(n))
+	idx, tmp := scratch.Int32s(n), scratch.Int32s(n)
+	key := scratch.Int64s(n)
+	count := scratch.Ints(1 << width)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	startBits, procBits := bits.Len64(uint64(maxStart)), bits.Len(uint(s.NumProcs-1))
+	if startBits+procBits < 64 {
+		for i, a := range s.ByNode {
+			key[i] = int64(a.Proc)<<startBits | a.Start
+		}
+		idx, _ = radixSort(idx, tmp, key, count, width, startBits+procBits)
+	} else {
+		// The composite key overflows: sort by start, then stably by
+		// processor.
+		for i, a := range s.ByNode {
+			key[i] = a.Start
+		}
+		idx, tmp = radixSort(idx, tmp, key, count, width, startBits)
+		for i, a := range s.ByNode {
+			key[i] = int64(a.Proc)
+		}
+		idx, _ = radixSort(idx, tmp, key, count, width, procBits)
+	}
+	for i := 1; i < n; i++ {
+		prev, cur := s.ByNode[idx[i-1]], s.ByNode[idx[i]]
+		if cur.Proc == prev.Proc && cur.Start < prev.Finish {
+			return fmt.Errorf("sched: processor %d overlap: node %d [%d,%d) vs node %d [%d,%d)",
+				cur.Proc, prev.Node, prev.Start, prev.Finish,
+				cur.Node, cur.Start, cur.Finish)
+		}
+	}
+	return nil
+}
+
+// radixSort stably sorts the node indices in idx by the low keyBits
+// bits of key[v], width bits per counting pass (len(count) == 1<<width),
+// using tmp as the second buffer. It returns the sorted slice and the
+// spare one.
+//
+//lint:boundedidx digits are masked below len(count), prefix sums stay below len(idx) == len(tmp)
+func radixSort(idx, tmp []int32, key []int64, count []int, width, keyBits int) (sorted, spare []int32) {
+	mask := int64(len(count) - 1)
+	for shift := 0; shift < keyBits; shift += width {
+		clear(count)
+		for _, v := range idx {
+			count[key[v]>>shift&mask]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, v := range idx {
+			d := key[v] >> shift & mask
+			tmp[count[d]] = v
+			count[d]++
+		}
+		idx, tmp = tmp, idx
+	}
+	return idx, tmp
 }
