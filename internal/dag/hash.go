@@ -280,8 +280,8 @@ func (g *Graph) computeCanonical() *canonInfo {
 			trial := append([]uint64(nil), r.colors...) //lint:coldpath individualization only runs on WL-ambiguous graphs
 			trial[v] = mix2(canonSeedIndiv, trial[v])
 			r.refine(trial, r.countDistinct(trial))
-			key := append([]uint64(nil), trial...) //lint:coldpath individualization only runs on WL-ambiguous graphs
-			slices.Sort(key) //lint:outlined individualization only runs on WL-ambiguous graphs
+			key := append([]uint64(nil), trial...)                     //lint:coldpath individualization only runs on WL-ambiguous graphs
+			slices.Sort(key)                                           //lint:outlined individualization only runs on WL-ambiguous graphs
 			if bestColors == nil || slices.Compare(key, bestKey) < 0 { //lint:outlined individualization only runs on WL-ambiguous graphs
 				bestColors, bestKey = trial, key
 			}

@@ -14,8 +14,9 @@
 //   - following the paper's worked example, the child with the largest
 //     cost-plus-communication stays on the home processor, so its
 //     boundary communication is never paid;
-//   - a primitive clan is scheduled by an internal earliest-start list
-//     scheduler, and kept only if it beats executing the clan serially.
+//   - a primitive clan is scheduled by the shared earliest-start list
+//     scheduler (sched.ListSchedule over its induced subgraph), and kept
+//     only if it beats executing the clan serially.
 //
 // The "keep the cheaper option" rule is the paper's speedup check at
 // every linear node: it gives CLANS macro-level control and is the
@@ -258,7 +259,10 @@ func (b *builder) primitive(n *clan.Node) fragment {
 			return f
 		}
 	}
-	lanes, makespan := b.etf(n.Members)
+	lanes, makespan := b.etf(b.g, n.Members)
+	if b.err != nil {
+		return fragment{}
+	}
 	var serial int64
 	for _, m := range n.Members {
 		serial += b.g.Weight(m)
@@ -271,111 +275,25 @@ func (b *builder) primitive(n *clan.Node) fragment {
 	return fragment{lanes: lanes, cost: makespan}
 }
 
-// etf runs an earliest-task-first list schedule of the subgraph induced
-// by members (external edges ignored: they are uniform for a clan and
-// handled by the enclosing cost model). It returns the lanes and the
-// internal makespan estimate.
-func (b *builder) etf(members []dag.NodeID) ([][]dag.NodeID, int64) {
-	for _, m := range members {
-		b.member[m] = true
+// etf runs the earliest-start list scheduler over the subgraph of g
+// induced by nodes (nil: all of g). External edges are ignored: they
+// are uniform for a clan and handled by the enclosing cost model. One
+// fresh lane is always allowed; ties go to the heavier task, then the
+// smaller ID. It returns the lanes and the internal makespan estimate;
+// on cancellation it records b.err and returns no lanes.
+func (b *builder) etf(g *dag.Graph, nodes []dag.NodeID) ([][]dag.NodeID, int64) {
+	pl, makespan, err := sched.ListSchedule(b.ctx, g, nodes, 0, func(v dag.NodeID, sv int64, u dag.NodeID, su int64) bool {
+		if sv != su {
+			return sv < su
+		}
+		if g.Weight(v) != g.Weight(u) {
+			return g.Weight(v) > g.Weight(u)
+		}
+		return v < u
+	})
+	if err != nil {
+		b.err = err
+		return nil, 0
 	}
-	defer func() {
-		for _, m := range members {
-			b.member[m] = false
-		}
-	}()
-
-	remainingPreds := map[dag.NodeID]int{}
-	for _, m := range members {
-		cnt := 0
-		for _, a := range b.g.Preds(m) {
-			if b.member[a.To] {
-				cnt++
-			}
-		}
-		remainingPreds[m] = cnt
-	}
-	ready := make([]dag.NodeID, 0, len(members))
-	for _, m := range members {
-		if remainingPreds[m] == 0 {
-			ready = append(ready, m)
-		}
-	}
-
-	proc := map[dag.NodeID]int{}
-	finish := map[dag.NodeID]int64{}
-	var laneFree []int64
-	var lanes [][]dag.NodeID
-	var makespan int64
-
-	for len(ready) > 0 {
-		if err := b.ctx.Err(); err != nil {
-			b.err = err
-			return [][]dag.NodeID{nil}, 0
-		}
-		// Earliest start over (ready task, lane) pairs, one fresh lane
-		// allowed; ties to the heavier task, then the smaller ID, then
-		// the lower lane.
-		bestT, bestL := -1, -1
-		var bestStart int64
-		for ti, t := range ready {
-			for l := 0; l <= len(lanes); l++ {
-				var start int64
-				if l < len(laneFree) {
-					start = laneFree[l]
-				}
-				for _, a := range b.g.Preds(t) {
-					if !b.member[a.To] {
-						continue
-					}
-					at := finish[a.To]
-					if proc[a.To] != l {
-						at += a.Weight
-					}
-					if at > start {
-						start = at
-					}
-				}
-				better := bestT == -1 || start < bestStart
-				if !better && start == bestStart && ti != bestT {
-					prev := ready[bestT]
-					if b.g.Weight(t) != b.g.Weight(prev) {
-						better = b.g.Weight(t) > b.g.Weight(prev)
-					} else {
-						better = t < prev
-					}
-				}
-				if better {
-					bestT, bestL, bestStart = ti, l, start
-				}
-			}
-		}
-		t := ready[bestT]
-		ready = append(ready[:bestT], ready[bestT+1:]...)
-		if bestL == len(lanes) {
-			lanes = append(lanes, nil)
-			laneFree = append(laneFree, 0)
-		}
-		proc[t] = bestL
-		f := bestStart + b.g.Weight(t)
-		finish[t] = f
-		laneFree[bestL] = f
-		lanes[bestL] = append(lanes[bestL], t)
-		if f > makespan {
-			makespan = f
-		}
-		for _, a := range b.g.Succs(t) {
-			if !b.member[a.To] {
-				continue
-			}
-			remainingPreds[a.To]--
-			if remainingPreds[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-	}
-	if len(lanes) == 0 {
-		lanes = [][]dag.NodeID{nil}
-	}
-	return lanes, makespan
+	return pl.Order, makespan
 }

@@ -37,12 +37,6 @@ func New() *DCP { return &DCP{} }
 // Name implements heuristics.Scheduler.
 func (d *DCP) Name() string { return "DCP" }
 
-type slot struct {
-	node   dag.NodeID
-	start  int64
-	finish int64
-}
-
 // Schedule implements heuristics.Scheduler.
 func (d *DCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 	return d.ScheduleContext(context.Background(), g)
@@ -52,9 +46,8 @@ func (d *DCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // with a cancellation poll once per committed task.
 func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
 	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
 	if n == 0 {
-		return pl, nil
+		return sched.NewPlacement(0), nil
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -69,7 +62,8 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 	for v := 0; v < n; v++ {
 		missing[v] = g.InDegree(dag.NodeID(v))
 	}
-	var timelines [][]slot
+	csr := g.CSR()
+	var ts sched.Timelines
 
 	aest := make([]int64, n)
 	alst := make([]int64, n)
@@ -128,46 +122,21 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		}
 	}
 
-	earliestOn := func(v dag.NodeID, p int) int64 {
-		var ready int64
-		for _, a := range g.Preds(v) {
-			t := finish[a.To]
-			if proc[a.To] != p {
-				t += a.Weight
-			}
-			if t > ready {
-				ready = t
-			}
-		}
-		// Gap insertion.
-		w := g.Weight(v)
-		cur := ready
-		for _, s := range timelines[p] {
-			if cur+w <= s.start {
-				return cur
-			}
-			if s.finish > cur {
-				cur = s.finish
-			}
-		}
-		return cur
-	}
-
 	// criticalChild returns v's unscheduled successor with the least
 	// mobility (the one the dynamic critical path runs through).
-	criticalChild := func(v dag.NodeID) (dag.NodeID, int64, bool) {
+	criticalChild := func(v dag.NodeID) (dag.NodeID, bool) {
 		best := dag.NodeID(-1)
-		var bestMob, edge int64
+		var bestMob int64
 		for _, a := range g.Succs(v) {
 			if scheduled[a.To] {
 				continue
 			}
 			mob := alst[a.To] - aest[a.To]
 			if best < 0 || mob < bestMob || (mob == bestMob && a.To < best) {
-				best, bestMob, edge = a.To, mob, a.Weight
+				best, bestMob = a.To, mob
 			}
 		}
-		return best, edge, best >= 0
+		return best, best >= 0
 	}
 
 	for done := 0; done < n; done++ {
@@ -193,77 +162,38 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 			}
 		}
 
-		// Processor choice: minimize start; among starts within the
-		// critical child's edge weight of the best, prefer the
-		// processor minimizing the child's estimated local start.
-		cc, ccEdge, hasCC := criticalChild(pick)
+		// Processor choice: minimize start; among equal starts, prefer
+		// the processor minimizing the critical child's estimated
+		// local start.
+		cc, hasCC := criticalChild(pick)
 		bestP, bestStart := -1, int64(0)
 		var bestLook int64
-		for p := 0; p <= len(timelines); p++ {
-			var st int64
-			if p < len(timelines) {
-				st = earliestOn(pick, p)
-			} else {
-				// Fresh processor: pure data-ready time.
-				for _, a := range g.Preds(pick) {
-					if t := finish[a.To] + a.Weight; t > st {
-						st = t
-					}
-				}
-			}
+		for p := 0; p <= len(ts); p++ {
+			st := ts.EarliestGap(p, sched.Arrival(csr, proc, finish, pick, p), g.Weight(pick)) //lint:boundedidx the CSR window of v lies inside the arc arrays
 			look := st + g.Weight(pick)
 			if hasCC {
 				// If the child follows on this processor the edge is
 				// free; its other parents are approximated by AEST.
-				childLocal := look
-				if childAEST := aest[cc]; childAEST > childLocal {
-					childLocal = childAEST
-				}
-				look = childLocal
-				_ = ccEdge
+				look = max(look, aest[cc])
 			}
 			better := bestP == -1 || st < bestStart ||
 				(st == bestStart && look < bestLook)
-			if p == len(timelines) && bestP != -1 && st >= bestStart {
+			if p == len(ts) && bestP != -1 && st >= bestStart {
 				better = false // open a new processor only when strictly earlier
 			}
 			if better {
 				bestP, bestStart, bestLook = p, st, look
 			}
 		}
-		if bestP == len(timelines) {
-			timelines = append(timelines, nil)
-		}
 		scheduled[pick] = true
 		proc[pick] = bestP
 		start[pick] = bestStart
 		finish[pick] = bestStart + g.Weight(pick)
-		tl := timelines[bestP]
-		// Binary search for the insertion point by hand: a sort.Search
-		// closure here would capture bestStart and allocate on every
-		// scheduling step.
-		i, hi := 0, len(tl)
-		for i < hi {
-			mid := int(uint(i+hi) >> 1)
-			if tl[mid].start >= bestStart {
-				hi = mid
-			} else {
-				i = mid + 1
-			}
-		}
-		tl = append(tl, slot{})
-		copy(tl[i+1:], tl[i:])
-		tl[i] = slot{node: pick, start: bestStart, finish: finish[pick]}
-		timelines[bestP] = tl
+		ts.Insert(bestP, pick, bestStart, finish[pick])
 		for _, a := range g.Succs(pick) {
 			missing[a.To]--
 		}
 	}
 
-	for p, tl := range timelines {
-		for _, s := range tl {
-			pl.Assign(s.node, p)
-		}
-	}
-	return pl, nil
+	return ts.Placement(n), nil
 }

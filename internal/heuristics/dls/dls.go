@@ -41,82 +41,18 @@ func (d *DLS) Schedule(g *dag.Graph) (*sched.Placement, error) {
 }
 
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
-// with a cancellation poll once per committed task.
+// with a cancellation poll once per committed task. It commits the
+// greatest dynamic level; ties go to the smaller ID.
 func (d *DLS) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	level, err := g.BLevels()
 	if err != nil {
 		return nil, err
 	}
-	missing := make([]int, n)
-	ready := make([]dag.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		missing[v] = g.InDegree(dag.NodeID(v))
-		if missing[v] == 0 {
-			ready = append(ready, dag.NodeID(v))
+	pl, _, err := sched.ListSchedule(ctx, g, nil, d.MaxProcs, func(v dag.NodeID, sv int64, u dag.NodeID, su int64) bool {
+		if dv, du := level[v]-sv, level[u]-su; dv != du {
+			return dv > du
 		}
-	}
-	proc := make([]int, n)
-	finish := make([]int64, n)
-	var procFree []int64
-
-	for len(ready) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestI, bestP := -1, -1
-		var bestDL, bestStart int64
-		cand := len(procFree)
-		if d.MaxProcs == 0 || cand < d.MaxProcs {
-			cand++
-		}
-		for ri, v := range ready {
-			for p := 0; p < cand; p++ {
-				var start int64
-				if p < len(procFree) {
-					start = procFree[p]
-				}
-				for _, a := range g.Preds(v) {
-					t := finish[a.To]
-					if proc[a.To] != p {
-						t += a.Weight
-					}
-					if t > start {
-						start = t
-					}
-				}
-				dl := level[v] - start
-				better := bestI == -1 || dl > bestDL
-				if !better && dl == bestDL && ri != bestI {
-					prev := ready[bestI]
-					if v != prev {
-						better = v < prev
-					}
-				}
-				if better {
-					bestI, bestP, bestDL, bestStart = ri, p, dl, start
-				}
-			}
-		}
-		v := ready[bestI]
-		ready = append(ready[:bestI], ready[bestI+1:]...)
-		if bestP == len(procFree) {
-			procFree = append(procFree, 0)
-		}
-		proc[v] = bestP
-		finish[v] = bestStart + g.Weight(v)
-		procFree[bestP] = finish[v]
-		pl.Assign(v, bestP)
-		for _, a := range g.Succs(v) {
-			missing[a.To]--
-			if missing[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-	}
-	return pl, nil
+		return v < u
+	})
+	return pl, err
 }

@@ -37,83 +37,21 @@ func (e *ETF) Schedule(g *dag.Graph) (*sched.Placement, error) {
 }
 
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
-// with a cancellation poll once per committed task.
+// with a cancellation poll once per committed task. It commits the
+// earliest start; ties go to the higher level, then the smaller ID.
 func (e *ETF) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	level, err := g.BLevels()
 	if err != nil {
 		return nil, err
 	}
-	missing := make([]int, n)
-	ready := make([]dag.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		missing[v] = g.InDegree(dag.NodeID(v))
-		if missing[v] == 0 {
-			ready = append(ready, dag.NodeID(v))
+	pl, _, err := sched.ListSchedule(ctx, g, nil, e.MaxProcs, func(v dag.NodeID, sv int64, u dag.NodeID, su int64) bool {
+		if sv != su {
+			return sv < su
 		}
-	}
-	proc := make([]int, n)
-	finish := make([]int64, n)
-	var procFree []int64
-
-	for len(ready) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if level[v] != level[u] {
+			return level[v] > level[u]
 		}
-		bestI, bestP := -1, -1
-		var bestStart int64
-		cand := len(procFree)
-		if e.MaxProcs == 0 || cand < e.MaxProcs {
-			cand++
-		}
-		for ri, v := range ready {
-			for p := 0; p < cand; p++ {
-				var start int64
-				if p < len(procFree) {
-					start = procFree[p]
-				}
-				for _, a := range g.Preds(v) {
-					t := finish[a.To]
-					if proc[a.To] != p {
-						t += a.Weight
-					}
-					if t > start {
-						start = t
-					}
-				}
-				better := bestI == -1 || start < bestStart
-				if !better && start == bestStart && ri != bestI {
-					prev := ready[bestI]
-					if level[v] != level[prev] {
-						better = level[v] > level[prev]
-					} else {
-						better = v < prev
-					}
-				}
-				if better {
-					bestI, bestP, bestStart = ri, p, start
-				}
-			}
-		}
-		v := ready[bestI]
-		ready = append(ready[:bestI], ready[bestI+1:]...)
-		if bestP == len(procFree) {
-			procFree = append(procFree, 0)
-		}
-		proc[v] = bestP
-		finish[v] = bestStart + g.Weight(v)
-		procFree[bestP] = finish[v]
-		pl.Assign(v, bestP)
-		for _, a := range g.Succs(v) {
-			missing[a.To]--
-			if missing[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-	}
-	return pl, nil
+		return v < u
+	})
+	return pl, err
 }

@@ -20,10 +20,11 @@
 // the global order and one forward sweep solves the recurrence. A
 // trial merge therefore does not rescan the graph: it re-times the two
 // affected clusters and propagates along graph edges and queue links
-// only while finish times actually change (a min-heap keyed by global
-// rank keeps the cone in order), reading everything else from the
-// committed timing. The full-rescan estimator is retained behind
-// newFullRescan as the oracle the incremental one is tested against.
+// only while finish times actually change (a bitset over global ranks,
+// drained in rank order, keeps the cone in order), reading everything
+// else from the committed timing. The full-rescan estimator lives on
+// in ez_oracle_test.go as the oracle the incremental one is tested
+// against.
 package ez
 
 import (
@@ -44,10 +45,6 @@ func init() {
 
 // EZ is the scheduler. The zero value is ready to use.
 type EZ struct {
-	// fullRescan switches to the retained full-rescan estimator (one
-	// sched.Build per trial merge). Kept as the oracle for the
-	// incremental estimator's equivalence test.
-	fullRescan bool
 	// estLog, when non-nil, records the initial estimate followed by
 	// the trial estimate of every examined edge, in examination order.
 	// Test hook: the oracle test compares the two estimators' logs.
@@ -56,10 +53,6 @@ type EZ struct {
 
 // New returns an EZ scheduler.
 func New() *EZ { return &EZ{} }
-
-// newFullRescan returns an EZ that estimates by full rescan. Oracle
-// for tests; behaviourally identical to the incremental estimator.
-func newFullRescan() *EZ { return &EZ{fullRescan: true} }
 
 // Name implements heuristics.Scheduler.
 func (e *EZ) Name() string { return "EZ" }
@@ -99,9 +92,6 @@ func sortedEdges(g *dag.Graph) []dag.Edge {
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per examined edge.
 func (e *EZ) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	if e.fullRescan {
-		return e.scheduleFullRescan(ctx, g)
-	}
 	n := g.NumNodes()
 	if n == 0 {
 		return sched.NewPlacement(0), nil
@@ -435,107 +425,4 @@ func (s *state) placement() *sched.Placement {
 		}
 	}
 	return pl
-}
-
-// scheduleFullRescan is the pre-incremental implementation: every
-// trial merge rebuilds a placement and replays the full timing model.
-// Retained as the estimator oracle; only the oracle tests and an
-// explicit newFullRescan construction reach it.
-//
-//lint:coldescape cold oracle path, never on the production schedule route
-func (e *EZ) scheduleFullRescan(ctx context.Context, g *dag.Graph) (*sched.Placement, error) { //lint:boundedidx cold oracle path, indexes are node IDs in [0,n)
-	n := g.NumNodes()
-	if n == 0 {
-		return sched.NewPlacement(0), nil
-	}
-	level, err := g.BLevels()
-	if err != nil {
-		return nil, err
-	}
-
-	clusters := make([]int, n)
-	for i := range clusters {
-		clusters[i] = i
-	}
-
-	current, err := e.estimate(g, level, clusters)
-	if err != nil {
-		return nil, err
-	}
-	if e.estLog != nil {
-		*e.estLog = append(*e.estLog, current)
-	}
-	for _, edge := range sortedEdges(g) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ra, rb := find(clusters, int(edge.From)), find(clusters, int(edge.To))
-		if ra == rb {
-			continue // already zeroed transitively
-		}
-		// Trial merge on a copy: undoing a union under path
-		// compression is error-prone, cloning is cheap at these sizes.
-		trial := append([]int(nil), clusters...)
-		trial[ra] = rb
-		merged, err := e.estimate(g, level, trial)
-		if err != nil {
-			return nil, err
-		}
-		if e.estLog != nil {
-			*e.estLog = append(*e.estLog, merged)
-		}
-		if merged <= current {
-			current = merged
-			clusters = trial
-		}
-	}
-	return e.fullPlacement(g, level, clusters), nil
-}
-
-// fullPlacement lays each cluster on its own processor, ordered by
-// descending level (ties to the smaller ID).
-//
-//lint:coldescape cold oracle path, never on the production schedule route
-func (e *EZ) fullPlacement(g *dag.Graph, level []int64, clusters []int) *sched.Placement { //lint:boundedidx cold oracle path, indexes are node IDs in [0,n)
-	n := g.NumNodes()
-	byRoot := map[int][]dag.NodeID{}
-	var roots []int
-	for v := 0; v < n; v++ {
-		r := find(clusters, v)
-		if len(byRoot[r]) == 0 {
-			roots = append(roots, r)
-		}
-		byRoot[r] = append(byRoot[r], dag.NodeID(v))
-	}
-	sort.Ints(roots)
-	pl := sched.NewPlacement(n)
-	// The comparator is hoisted out of the loop (capturing the shared
-	// members variable) so each cluster sort reuses one function value.
-	var members []dag.NodeID
-	byLevel := func(i, j int) bool {
-		if level[members[i]] != level[members[j]] {
-			return level[members[i]] > level[members[j]]
-		}
-		return members[i] < members[j]
-	}
-	for pi, r := range roots {
-		members = byRoot[r]
-		sort.Slice(members, byLevel)
-		for _, v := range members {
-			pl.Assign(v, pi)
-		}
-	}
-	return pl
-}
-
-// estimate returns the parallel time of the clustering (full rescan).
-func (e *EZ) estimate(g *dag.Graph, level []int64, clusters []int) (int64, error) {
-	s, err := sched.Build(g, e.fullPlacement(g, level, clusters))
-	if err != nil {
-		return 0, err
-	}
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	return s.Makespan, nil
 }

@@ -10,16 +10,25 @@ import (
 	"schedcomp/internal/sched"
 )
 
+// loggedScheduler is EZ or its full-rescan oracle, with the estimate
+// log attached.
+type loggedScheduler interface {
+	Schedule(g *dag.Graph) (*sched.Placement, error)
+	logTo(log *[]int64)
+}
+
+func (e *EZ) logTo(log *[]int64) { e.estLog = log }
+
 // runLogged schedules g with e and returns the estimate log (initial
 // estimate followed by every examined edge's trial estimate) and the
 // placement.
-func runLogged(t *testing.T, e *EZ, g *dag.Graph) ([]int64, *sched.Placement) {
+func runLogged(t *testing.T, e loggedScheduler, g *dag.Graph) ([]int64, *sched.Placement) {
 	t.Helper()
 	var log []int64
-	e.estLog = &log
+	e.logTo(&log)
 	pl, err := e.Schedule(g)
 	if err != nil {
-		t.Fatalf("%s schedule: %v", map[bool]string{true: "full-rescan", false: "incremental"}[e.fullRescan], err)
+		t.Fatalf("%T schedule: %v", e, err)
 	}
 	return log, pl
 }

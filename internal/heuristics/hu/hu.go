@@ -90,6 +90,7 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 		free.Push(v)
 	}
 
+	csr := g.CSR()
 	proc := make([]int, n)
 	finish := make([]int64, n)
 	scheduledPreds := make([]int, n)
@@ -110,25 +111,11 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 		return a < b
 	})
 
-	arrive := func(v dag.NodeID, p int) int64 {
-		var t int64
-		for _, a := range g.Preds(v) {
-			at := finish[a.To]
-			if proc[a.To] != p {
-				at += a.Weight
-			}
-			if at > t {
-				t = at
-			}
-		}
-		return t
-	}
-
 	place := func(v dag.NodeID, p int) {
 		if p == used {
 			used++
 		}
-		start := arrive(v, p)
+		start := sched.Arrival(csr, proc, finish, v, p) //lint:boundedidx the CSR window of v lies inside the arc arrays
 		if procFree[p] > start {
 			start = procFree[p]
 		}
@@ -165,7 +152,7 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 		bestP := -1
 		var bestKey int64
 		for p := 0; p < candidates; p++ {
-			key := arrive(v, p)
+			key := sched.Arrival(csr, proc, finish, v, p) //lint:boundedidx the CSR window of v lies inside the arc arrays
 			if procFree[p] > key {
 				key = procFree[p]
 			}
@@ -184,7 +171,7 @@ func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 			return nil, err
 		}
 		v := free.Pop()
-		place(v, pick(v))
+		place(v, pick(v)) //lint:boundedidx inlined sched.Arrival: the CSR window of v lies inside the arc arrays
 	}
 	return pl, nil
 }

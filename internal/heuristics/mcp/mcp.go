@@ -48,13 +48,6 @@ func New() *MCP { return &MCP{Insertion: true} }
 // Name implements heuristics.Scheduler.
 func (m *MCP) Name() string { return "MCP" }
 
-// slot is a scheduled interval on a processor timeline.
-type slot struct {
-	node   dag.NodeID
-	start  int64
-	finish int64
-}
-
 // Schedule implements heuristics.Scheduler.
 func (m *MCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 	return m.ScheduleContext(context.Background(), g)
@@ -64,102 +57,46 @@ func (m *MCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // with a cancellation poll once per committed task.
 func (m *MCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
 	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
 	if n == 0 {
-		return pl, nil
+		return sched.NewPlacement(0), nil
 	}
 	order, err := m.order(g)
 	if err != nil {
 		return nil, err
 	}
 
+	csr := g.CSR()
 	proc := make([]int, n) // node -> processor
-	start := make([]int64, n)
 	finish := make([]int64, n)
-	var timelines [][]slot // per processor, sorted by start
-
+	var ts sched.Timelines
 	for _, v := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Earliest data-ready time on a fresh processor: every incoming
-		// edge pays communication.
-		var bound int64
-		for _, a := range g.Preds(v) {
-			t := finish[a.To] + a.Weight
-			if t > bound {
-				bound = t
-			}
-		}
+		w := g.Weight(v)
 		bestP, bestStart := -1, int64(0)
-		for p := range timelines {
-			st := m.earliestOn(g, timelines[p], proc, finish, v, p)
+		for p := range ts {
+			st := sched.Arrival(csr, proc, finish, v, p) //lint:boundedidx the CSR window of v lies inside the arc arrays
+			if m.Insertion {
+				st = ts.EarliestGap(p, st, w)
+			} else {
+				st = max(st, ts.End(p))
+			}
 			if bestP == -1 || st < bestStart {
 				bestP, bestStart = p, st
 			}
 		}
-		if bestP == -1 || bound < bestStart {
-			// A new processor strictly beats every existing one.
-			bestP, bestStart = len(timelines), bound
-			timelines = append(timelines, nil)
+		// A new processor, where every incoming edge pays
+		// communication, is opened only when it strictly beats every
+		// existing one.
+		if st := sched.Arrival(csr, proc, finish, v, len(ts)); bestP == -1 || st < bestStart { //lint:boundedidx the CSR window of v lies inside the arc arrays
+			bestP, bestStart = len(ts), st
 		}
 		proc[v] = bestP
-		start[v] = bestStart
-		finish[v] = bestStart + g.Weight(v)
-		timelines[bestP] = insertSlot(timelines[bestP], slot{node: v, start: start[v], finish: finish[v]})
+		finish[v] = bestStart + w
+		ts.Insert(bestP, v, bestStart, finish[v])
 	}
-
-	for p, tl := range timelines {
-		for _, s := range tl {
-			pl.Assign(s.node, p)
-		}
-	}
-	return pl, nil
-}
-
-// earliestOn computes the earliest start of v on processor p given the
-// current timeline, honouring communication costs from predecessors on
-// other processors. With Insertion enabled it may use an idle gap.
-func (m *MCP) earliestOn(g *dag.Graph, tl []slot, proc []int, finish []int64, v dag.NodeID, p int) int64 {
-	var ready int64
-	for _, a := range g.Preds(v) {
-		t := finish[a.To]
-		if proc[a.To] != p {
-			t += a.Weight
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-	w := g.Weight(v)
-	if !m.Insertion {
-		if len(tl) > 0 {
-			if f := tl[len(tl)-1].finish; f > ready {
-				return f
-			}
-		}
-		return ready
-	}
-	// Scan gaps in start order for the first hole of length ≥ w at or
-	// after ready.
-	cur := ready
-	for _, s := range tl {
-		if cur+w <= s.start {
-			return cur
-		}
-		if s.finish > cur {
-			cur = s.finish
-		}
-	}
-	return cur
-}
-
-func insertSlot(tl []slot, s slot) []slot {
-	i := sort.Search(len(tl), func(i int) bool { return tl[i].start >= s.start })
-	tl = append(tl, slot{})
-	copy(tl[i+1:], tl[i:])
-	tl[i] = s
-	return tl
+	return ts.Placement(n), nil
 }
 
 // order returns the MCP scheduling order: nodes sorted by ascending

@@ -16,11 +16,11 @@ import (
 // conservative over-approximation (extra Args on a value, or
 // fn.Approx), never to a panic.
 type builder struct {
-	prog    *Program
-	pkg     *lint.Package
-	info    *types.Info
-	fn      *Func
-	fnScope *types.Scope
+	prog      *Program
+	pkg       *lint.Package
+	info      *types.Info
+	fn        *Func
+	fnScope   *types.Scope
 	cur       *Block
 	targets   []*target
 	selectN   int64  // >0 while building a select comm statement

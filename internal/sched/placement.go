@@ -4,6 +4,13 @@
 // and finish times under the paper's execution model, schedule
 // validation, performance metrics, and a textual Gantt chart.
 //
+// It also holds the list-scheduling core the heuristics make their
+// decisions with, under the same model: Arrival (when a task's inputs
+// reach a processor), ListSchedule (the earliest-start scan over
+// ready task × processor pairs, used by ETF, DLS and CLANS) and
+// Timelines (per-processor intervals with gap insertion, used by MCP
+// and DCP).
+//
 // Timing model (paper §2): homogeneous processors, fully connected;
 // tasks on the same processor communicate for free; tasks on different
 // processors pay the PDG edge weight, independent of which processors;

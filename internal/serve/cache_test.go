@@ -186,7 +186,10 @@ func TestScheduleCachedHitBypassesFullQueue(t *testing.T) {
 	wg.Add(2)
 	go func() { defer wg.Done(); p.Schedule(context.Background(), bs, tinyGraph()) }()
 	<-bs.started // worker is parked
-	go func() { defer wg.Done(); p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph()) }()
+	go func() {
+		defer wg.Done()
+		p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph())
+	}()
 	defer func() { close(bs.release); wg.Wait() }()
 
 	// Queue is now full: a direct Schedule sheds. A probe that races
@@ -288,7 +291,10 @@ func TestRetryAfterColdStartOnFullPipeline(t *testing.T) {
 	wg.Add(2)
 	go func() { defer wg.Done(); p.Schedule(context.Background(), bs, tinyGraph()) }()
 	<-bs.started
-	go func() { defer wg.Done(); p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph()) }()
+	go func() {
+		defer wg.Done()
+		p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph())
+	}()
 	defer func() { close(bs.release); wg.Wait() }()
 
 	// Wait until the queue is actually full (the second submission —
