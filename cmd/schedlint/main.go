@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	go run ./cmd/schedlint ./...                       # whole module (CI gate)
+//	go run ./cmd/schedlint -json -perfbudget perf_budget.json ./...  # CI gate
+//	go run ./cmd/schedlint ./...                       # whole module
 //	go run ./cmd/schedlint ./internal/...              # subtree
 //	go run ./cmd/schedlint -json ./...                 # NDJSON findings for CI/editors
 //	go run ./cmd/schedlint -only=locksafe,ctxflow ./...# subset of the suite
 //	go run ./cmd/schedlint -skip=hotalloc ./...        # everything but
-//	go run ./cmd/schedlint -baseline lint_baseline.ndjson ./...
 //	go run ./cmd/schedlint -list                       # describe the analyzers
 //
 //	# perflint pack (hotescape, hotbce, noinline):
@@ -22,24 +22,21 @@
 // fields file, line, col, analyzer and message; the default text mode
 // is unchanged.
 //
-// In -baseline mode the committed NDJSON baseline is loaded and
-// findings already present in it (matched by file, analyzer and
-// message — line-tolerant, so unrelated edits do not churn the
-// baseline) are treated as known: only new findings are printed (in
-// text or -json shape) and only new findings fail the run. This lets
-// a large refactor land analyzer-visible churn incrementally: commit
-// the current findings as the baseline, burn them down over follow-up
-// PRs, and still gate every PR on "no new findings".
+// Each finding is reported by the pass of the package that contains
+// it, so a subset run such as ./internal/serve/ does not report a
+// cross-package flow whose sink lies in a dependency; the CI gate runs
+// over ./... and sees every one.
 //
 // In -perfbudget mode the committed budget (see perfbudget.go) is
 // loaded and findings within their budgeted (package, analyzer,
-// message) counts pass; only findings over budget — new optimization
-// regressions — are printed and fail the run. -writeperfbudget
-// regenerates the budget from the current tree; -perfreport prints
-// every finding as a worklist ranked by loop depth, deepest first.
+// message) counts pass; only perflint findings are ever budgeted, so
+// every other finding, and every perflint finding over budget, is
+// printed and fails the run. -writeperfbudget regenerates the budget
+// from the current tree; -perfreport prints every finding as a
+// worklist ranked by loop depth, deepest first.
 //
-// Exit status: 0 clean (or baseline-known/within-budget only), 1 new
-// diagnostics reported, 2 operational error.
+// Exit status: 0 clean (or within-budget only), 1 findings reported,
+// 2 operational error.
 package main
 
 import (
@@ -61,12 +58,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as NDJSON records (file/line/col/analyzer/message)")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	skip := flag.String("skip", "", "comma-separated analyzer names to skip")
-	baselinePath := flag.String("baseline", "", "NDJSON baseline file; only findings absent from it fail the run")
 	perfBudgetPath := flag.String("perfbudget", "", "perf budget JSON file; only findings over the budgeted counts fail the run")
 	writePerfBudget := flag.String("writeperfbudget", "", "write the current findings as a perf budget to this file and exit")
 	perfReport := flag.Bool("perfreport", false, "print findings as a refactoring worklist ranked by loop depth and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: schedlint [-list] [-json] [-only names] [-skip names] [-baseline file] [-perfbudget file] [-writeperfbudget file] [-perfreport] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: schedlint [-list] [-json] [-only names] [-skip names] [-perfbudget file] [-writeperfbudget file] [-perfreport] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -108,7 +104,6 @@ func main() {
 		return
 	}
 
-	overBudget := false
 	if *perfBudgetPath != "" {
 		budget, err := loadPerfBudget(*perfBudgetPath)
 		if err != nil {
@@ -119,27 +114,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "schedlint: warning: perf budget written under %s, running %s; optimization decisions may differ\n",
 				budget.GcVersion, v)
 		}
-		regressions, within, improved := budget.diff(findings)
-		findings = regressions
-		overBudget = len(regressions) > 0
+		var within, improved int
+		findings, within, improved = budget.diff(findings)
 		if within > 0 {
 			fmt.Fprintf(os.Stderr, "schedlint: %d finding(s) within the perf budget\n", within)
 		}
 		if improved > 0 {
 			fmt.Fprintf(os.Stderr, "schedlint: %d budgeted finding(s) no longer present (consider -writeperfbudget to shrink the budget)\n", improved)
 		}
-	}
-
-	known := 0
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "schedlint:", err)
-			os.Exit(2)
-		}
-		var fresh []finding
-		fresh, known = base.diff(findings)
-		findings = fresh
 	}
 
 	if *jsonOut {
@@ -155,16 +137,10 @@ func main() {
 			fmt.Printf("%s:%d:%d: %s\n", f.File, f.Line, f.Col, f.Message)
 		}
 	}
-	if known > 0 {
-		fmt.Fprintf(os.Stderr, "schedlint: %d finding(s) matched the baseline\n", known)
-	}
 	if len(findings) > 0 {
 		what := "finding(s)"
-		switch {
-		case overBudget:
-			what = "finding(s) over the perf budget"
-		case *baselinePath != "":
-			what = "new finding(s) not in the baseline"
+		if *perfBudgetPath != "" {
+			what = "finding(s) not covered by the perf budget"
 		}
 		fmt.Fprintf(os.Stderr, "schedlint: %d %s\n", len(findings), what)
 		os.Exit(1)
@@ -223,8 +199,8 @@ func selectAnalyzers(all []*lint.Analyzer, only, skip string) ([]*lint.Analyzer,
 }
 
 // finding is one diagnostic in a machine-consumable shape; the JSON
-// field names are the -json output contract (consumed by the baseline
-// differ and CI artifacts).
+// field names are the -json output contract (consumed by CI artifacts
+// and editors).
 type finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -232,10 +208,8 @@ type finding struct {
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
 	// Package is the import path of the analyzed package; Depth is the
-	// loop nesting depth attributed by depth-ranking analyzers. Both are
-	// omitted when zero so the pre-existing NDJSON contract (and the
-	// committed baselines that use it) are unchanged for the analyzers
-	// that do not set them.
+	// loop nesting depth attributed by depth-ranking analyzers. Depth is
+	// omitted when zero, for the analyzers that do not set it.
 	Package string `json:"package,omitempty"`
 	Depth   int    `json:"depth,omitempty"`
 }

@@ -40,10 +40,15 @@ func budgetKey(f finding) string {
 }
 
 // budgetFromFindings aggregates findings into a budget for the running
-// toolchain, in deterministic order.
+// toolchain, in deterministic order. Only perflint findings (the ones
+// attributed to a loop depth) are budgeted; any other finding always
+// fails the gate.
 func budgetFromFindings(findings []finding) *perfBudget {
 	counts := map[string]*budgetEntry{}
 	for _, f := range findings {
+		if f.Depth == 0 {
+			continue
+		}
 		k := budgetKey(f)
 		if e, ok := counts[k]; ok {
 			e.Count++

@@ -47,6 +47,23 @@ func TestBudgetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBudgetNeverAcceptsNonPerfFindings pins the gate's contract: a
+// finding without a loop depth (anything outside the perflint pack)
+// is never written into the budget, so it fails even a budget
+// regenerated from a tree that has it.
+func TestBudgetNeverAcceptsNonPerfFindings(t *testing.T) {
+	mapiter := finding{File: "internal/gen/gen.go", Line: 7, Col: 2, Analyzer: "mapiter",
+		Message: "mapiter: range over map", Package: "schedcomp/internal/gen"}
+	b := budgetFromFindings(append(perfFindings(), mapiter))
+	if len(b.Entries) != 2 {
+		t.Fatalf("entries = %+v, want only the 2 perflint keys", b.Entries)
+	}
+	regressions, within, _ := b.diff(append(perfFindings(), mapiter))
+	if len(regressions) != 1 || regressions[0] != mapiter || within != 3 {
+		t.Errorf("regressions=%v within=%d, want only the mapiter finding over budget", regressions, within)
+	}
+}
+
 func TestBudgetDiffRegressionAndImprovement(t *testing.T) {
 	b := budgetFromFindings(perfFindings())
 	// One extra hotescape occurrence (over count), one brand-new key,

@@ -41,21 +41,13 @@ func init() {
 // cluster zeroes no edges and changes no level, and merging a task
 // into a parent cluster only lowers levels inside the ancestor cone of
 // the zeroed edges, which is repaired in reverse topological order
-// (see refreshCone). fullRecompute switches back to the original
-// whole-graph refresh every round; the two paths produce identical
-// placements (asserted by TestIncrementalMatchesFullRecompute) and the
-// slow one is kept as the test oracle.
-type DSC struct {
-	fullRecompute bool
-}
+// (see refreshCone). The original whole-graph refresh every round is
+// kept as the test oracle; the two produce identical placements
+// (asserted by TestIncrementalMatchesFullRecompute).
+type DSC struct{}
 
 // New returns a DSC scheduler.
 func New() *DSC { return &DSC{} }
-
-// newFullRecompute returns the reference scheduler that refreshes all
-// levels every round — the pre-incremental O(V·(V+E)) path, kept as
-// the oracle for the equivalence tests.
-func newFullRecompute() *DSC { return &DSC{fullRecompute: true} }
 
 // Name implements heuristics.Scheduler.
 func (d *DSC) Name() string { return "DSC" }
@@ -77,9 +69,8 @@ type state struct {
 	mark   []int32
 	markEp int32
 
-	// Incremental-maintenance state; nil when running the full
-	// recompute reference path (and in the hand-built unit-test
-	// states, which call recomputeLevels directly).
+	// Incremental-maintenance state; nil in the hand-built unit-test
+	// states, which only place tasks on fresh clusters.
 	pos    []int        // cached topo position of each node
 	dirty  []dag.NodeID // max-heap of pending nodes, keyed by pos
 	inHeap []bool       // heap membership, to coalesce duplicates
@@ -93,15 +84,35 @@ func (d *DSC) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per placed task.
 func (d *DSC) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumNodes()
 	// Per-call working arrays come from the pooled arena; only the
 	// Placement escapes.
 	scratch := arena.Get()
 	defer scratch.Release()
+	s, err := initState(g, scratch)
+	if err != nil {
+		return nil, err
+	}
+	for scheduled := 0; scheduled < g.NumNodes(); scheduled++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.step()
+	}
+	return s.placement(), nil
+}
+
+// initState returns the state of g before any task is placed, with
+// its working arrays taken from scratch.
+func initState(g *dag.Graph, scratch *arena.Scratch) (*state, error) {
+	pos, err := g.TopoPositions()
+	if err != nil {
+		return nil, err
+	}
+	bl, err := g.BLevels()
+	if err != nil {
+		return nil, err
+	}
+	n := g.NumNodes()
 	s := &state{
 		g:       g,
 		csr:     g.CSR(),
@@ -110,75 +121,53 @@ func (d *DSC) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		nsched:  scratch.Ints(n),
 		level:   scratch.Int64s(n),
 		mark:    scratch.Int32s(n),
+		// Read-only snapshot of the cached topo positions; DSC never
+		// writes through it.
+		pos:    pos, //lint:ownedcopy
+		inHeap: scratch.Bools(n),
+		dirty:  scratch.NodeIDs(n)[:0],
 	}
 	for i := range s.cluster {
 		s.cluster[i] = -1
 	}
-	if !d.fullRecompute {
-		pos, err := g.TopoPositions()
-		if err != nil {
-			return nil, err
+	// With no clusters yet, no edge is zeroed: the initial levels are
+	// exactly the graph's b-levels (shared cached slice — copied
+	// because place() lowers them in place).
+	copy(s.level, bl)
+	return s, nil
+}
+
+// step places the highest-priority free task: into its best parent
+// cluster when the acceptance tests allow it, else on a new cluster.
+func (s *state) step() {
+	nx := s.topFree()
+	ny := s.topPartialFree()
+
+	target := -1 // cluster to merge nx into; -1 = new cluster
+	if ny < 0 || s.priority(nx) > s.priority(ny) {
+		if c, ok := s.bestParentCluster(nx); ok && s.startOn(c, nx) <= s.startBound(nx) {
+			target = c // CT1 holds
 		}
-		bl, err := g.BLevels()
-		if err != nil {
-			return nil, err
+	} else {
+		// The partially free task outranks nx: zero only when both
+		// CT1 and CT2 hold.
+		if c, ok := s.bestParentCluster(nx); ok &&
+			s.startOn(c, nx) <= s.startBound(nx) && s.ct2(c, nx, ny) {
+			target = c
 		}
-		// With no clusters yet, no edge is zeroed: the initial levels
-		// are exactly the graph's b-levels (shared cached slice —
-		// copied because place() lowers them in place).
-		copy(s.level, bl)
-		// Read-only snapshot of the topo positions captured with the
-		// same generation as `order`; DSC never writes through it.
-		s.pos = pos //lint:ownedcopy
-		s.inHeap = scratch.Bools(n)
-		s.dirty = scratch.NodeIDs(n)[:0]
 	}
+	s.place(nx, target)
+}
 
-	for scheduled := 0; scheduled < n; scheduled++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if d.fullRecompute {
-			s.recomputeLevels(order)
-		}
-
-		nx := s.topFree()
-		ny := s.topPartialFree()
-
-		target := -1 // cluster to merge nx into; -1 = new cluster
-		if ny < 0 || s.priority(nx) > s.priority(ny) {
-			if c, ok := s.bestParentCluster(nx); ok && s.startOn(c, nx) <= s.startBound(nx) {
-				target = c // CT1 holds
-			}
-		} else {
-			// The partially free task outranks nx: zero only when both
-			// CT1 and CT2 hold.
-			if c, ok := s.bestParentCluster(nx); ok &&
-				s.startOn(c, nx) <= s.startBound(nx) && s.ct2(c, nx, ny) {
-				target = c
-			}
-		}
-		s.place(nx, target)
-	}
-
-	pl := sched.NewPlacement(n)
+// placement turns the clusters into a placement, one processor each.
+func (s *state) placement() *sched.Placement {
+	pl := sched.NewPlacement(s.g.NumNodes())
 	for c, ms := range s.members {
 		for _, v := range ms {
 			pl.Assign(v, c)
 		}
 	}
-	return pl, nil
-}
-
-// recomputeLevels refreshes level(n) = longest remaining path including
-// communication, where edges internal to a cluster are already zeroed.
-// It is the whole-graph reference path; the incremental path repairs
-// only the affected ancestor cone (refreshCone).
-func (s *state) recomputeLevels(order []dag.NodeID) {
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		s.level[v] = s.levelOf(v)
-	}
+	return pl
 }
 
 // levelOf recomputes one node's level from its successors' current
@@ -436,9 +425,7 @@ func (s *state) place(v dag.NodeID, c int) {
 	}
 	// A fresh cluster zeroes no edges, so levels are untouched; a
 	// merge zeroes the edges from v's cluster-c predecessors.
-	// (inHeap is nil on the full-recompute path, which refreshes all
-	// levels at the top of each round instead.)
-	if merged && s.inHeap != nil {
+	if merged {
 		s.refreshCone(v, c)
 	}
 }

@@ -26,7 +26,7 @@ func requireSamePlacement(t *testing.T, g *dag.Graph, label string) {
 	if err != nil {
 		t.Fatalf("%s: incremental: %v", label, err)
 	}
-	slow, err := newFullRecompute().Schedule(g)
+	slow, err := scheduleFullRecompute(g)
 	if err != nil {
 		t.Fatalf("%s: full recompute: %v", label, err)
 	}

@@ -50,7 +50,7 @@ func run(pass *lint.Pass) error {
 		return err
 	}
 	for _, fn := range prog.FuncsOf(pass.Pkg) {
-		if coldFunc(pass, fn) {
+		if fn.Waived(pass, "coldpath") {
 			continue
 		}
 		for _, v := range fn.Values {
@@ -68,17 +68,6 @@ func run(pass *lint.Pass) error {
 		}
 	}
 	return nil
-}
-
-// coldFunc reports whether fn or any enclosing function carries a
-// //lint:coldpath annotation on its declaration.
-func coldFunc(pass *lint.Pass, fn *ssair.Func) bool {
-	for f := fn; f != nil; f = f.Parent {
-		if pos := f.DeclPos(); pos.IsValid() && pass.Annotated(pos, "coldpath") {
-			return true
-		}
-	}
-	return false
 }
 
 func classify(v *ssair.Value) (kind, msg string) {

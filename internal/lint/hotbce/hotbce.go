@@ -68,7 +68,7 @@ func run(pass *lint.Pass) error {
 		if !pos.IsValid() {
 			continue
 		}
-		if pass.Annotated(pos, "boundedidx") || waivedFunc(pass, fn) {
+		if pass.Annotated(pos, "boundedidx") || fn.Waived(pass, "boundedidx") {
 			continue
 		}
 		pass.ReportDepthf(pos, depth,
@@ -77,15 +77,4 @@ func run(pass *lint.Pass) error {
 			kind, depth)
 	}
 	return nil
-}
-
-// waivedFunc reports whether fn or an enclosing function carries
-// //lint:boundedidx on its declaration.
-func waivedFunc(pass *lint.Pass, fn *ssair.Func) bool {
-	for f := fn; f != nil; f = f.Parent {
-		if pos := f.DeclPos(); pos.IsValid() && pass.Annotated(pos, "boundedidx") {
-			return true
-		}
-	}
-	return false
 }

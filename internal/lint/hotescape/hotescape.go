@@ -64,7 +64,7 @@ func run(pass *lint.Pass) error {
 		if !pos.IsValid() {
 			continue
 		}
-		if pass.Annotated(pos, "coldescape") || coldFunc(pass, fn) {
+		if pass.Annotated(pos, "coldescape") || fn.Waived(pass, "coldescape") {
 			continue
 		}
 		msg := d.Message
@@ -76,15 +76,4 @@ func run(pass *lint.Pass) error {
 			depth, msg)
 	}
 	return nil
-}
-
-// coldFunc reports whether fn or an enclosing function carries
-// //lint:coldescape on its declaration.
-func coldFunc(pass *lint.Pass, fn *ssair.Func) bool {
-	for f := fn; f != nil; f = f.Parent {
-		if pos := f.DeclPos(); pos.IsValid() && pass.Annotated(pos, "coldescape") {
-			return true
-		}
-	}
-	return false
 }

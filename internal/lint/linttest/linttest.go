@@ -61,20 +61,24 @@ func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPaths ...string) {
 		t.Fatal(err)
 	}
 	loader.SrcRoots = []string{src}
-	for _, path := range pkgPaths {
-		path := path
-		t.Run(strings.ReplaceAll(path, "/", "_"), func(t *testing.T) {
-			runOne(t, loader, a, path)
+	// Load every package before the first pass, as cmd/schedlint does,
+	// so whole-program analyzers see one program for the whole run.
+	pkgs := make([]*lint.Package, len(pkgPaths))
+	for i, path := range pkgPaths {
+		if pkgs[i], err = loader.LoadPath(path); err != nil {
+			t.Fatalf("loading %s: %v", path, err)
+		}
+	}
+	for _, pkg := range pkgs {
+		pkg := pkg
+		t.Run(strings.ReplaceAll(pkg.Path, "/", "_"), func(t *testing.T) {
+			runOne(t, loader, a, pkg)
 		})
 	}
 }
 
-func runOne(t *testing.T, loader *lint.Loader, a *lint.Analyzer, path string) {
+func runOne(t *testing.T, loader *lint.Loader, a *lint.Analyzer, pkg *lint.Package) {
 	t.Helper()
-	pkg, err := loader.LoadPath(path)
-	if err != nil {
-		t.Fatalf("loading %s: %v", path, err)
-	}
 	expects, err := parseExpectations(loader, pkg)
 	if err != nil {
 		t.Fatal(err)

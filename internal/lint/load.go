@@ -253,6 +253,18 @@ func (l *Loader) LoadPath(path string) (*Package, error) {
 	return l.load(path, dir)
 }
 
+// Loaded returns every package this loader has loaded from source so
+// far — the requested ones and the module or SrcRoots packages they
+// import — in sorted path order.
+func (l *Loader) Loaded() []*Package {
+	out := make([]*Package, 0, len(l.cache))
+	for _, p := range l.cache {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
 // fromModule reports whether dir lies under the module root rather
 // than under a SrcRoots testdata tree; only such packages go through
 // the shared cross-loader cache.

@@ -1,11 +1,9 @@
 package ssair_test
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"schedcomp/internal/lint"
 	"schedcomp/internal/lint/ssair"
 )
 
@@ -102,33 +100,7 @@ func TestRangeLoopDepths(t *testing.T) {
 // (goto shapes kept out of ssairtest, which asserts no Approx).
 func loadLoopProgram(t *testing.T) *ssair.Program {
 	t.Helper()
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.SrcRoots = []string{src}
-	pkg, err := loader.LoadPath("ssairloop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass := &lint.Pass{
-		Analyzer:  &lint.Analyzer{Name: "ssairloop"},
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Loader:    loader,
-		Report:    func(lint.Diagnostic) {},
-	}
-	prog, err := ssair.For(pass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
+	return programFor(t, testLoader(t), "ssairloop")
 }
 
 func TestGotoLoopConservativeFallback(t *testing.T) {

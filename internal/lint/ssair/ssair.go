@@ -25,9 +25,11 @@
 //   - Every value records the syntactic loop depth at which it
 //     executes, which is what the hotalloc analyzer consumes.
 //
-// A Program is built per lint.Loader and grows monotonically as
-// analyzers ask for packages; construction results are cached so the
-// multichecker pays for SSA construction once per package per process.
+// A Program is built once per lint.Loader, over every package the
+// loader has loaded, and is immutable afterwards: a schedlint run loads
+// all its patterns first, so every analyzer pass shares one SSA
+// construction and each whole-program analysis runs once. A loader that
+// loads more packages later gets a new Program; the old one is unchanged.
 package ssair
 
 import (
@@ -164,13 +166,25 @@ func (f *Func) DeclPos() token.Pos {
 	return f.decl.Pos()
 }
 
+// Waived reports whether f or an enclosing function carries the
+// //lint:<directive> waiver on its declaration.
+func (f *Func) Waived(pass *lint.Pass, directive string) bool {
+	for fn := f; fn != nil; fn = fn.Parent {
+		if pos := fn.DeclPos(); pos.IsValid() && pass.Annotated(pos, directive) {
+			return true
+		}
+	}
+	return false
+}
+
 // HasFreeVars reports whether f captures variables from an enclosing
 // function. A func literal with no captures compiles to a static
 // function value and allocates nothing.
 func (f *Func) HasFreeVars() bool { return len(f.frees) > 0 }
 
-// Program is the SSA form of a set of packages plus everything they
-// transitively import from the same module (or the testdata roots).
+// Program is the SSA form of every package a lint.Loader has loaded.
+// It is built once and never grown afterwards; a loader that loads
+// more packages gets a new Program from the next For call.
 type Program struct {
 	Loader *lint.Loader
 	Funcs  map[*types.Func]*Func
@@ -179,113 +193,69 @@ type Program struct {
 
 	globalWrites map[*types.Var][]*Value
 	nextID       int
-	version      int
 	taint        *TaintResult
-	taintVersion int
-	reported     map[string]map[[2]int]bool
 }
 
-// FirstSighting reports whether key has not been seen before under
-// the given analyzer name, recording it. Whole-program analyzers use
-// it to report each finding exactly once even though the suite runs
-// them over every package of a growing shared program: the first pass
-// whose program contains both endpoints of a flow claims it.
-func (p *Program) FirstSighting(analyzer string, key [2]int) bool {
-	if p.reported == nil {
-		p.reported = map[string]map[[2]int]bool{}
-	}
-	m := p.reported[analyzer]
-	if m == nil {
-		m = map[[2]int]bool{}
-		p.reported[analyzer] = m
-	}
-	if m[key] {
-		return false
-	}
-	m[key] = true
-	return true
-}
-
-// programs caches one Program per Loader so that every analyzer pass
-// in a schedlint run shares SSA construction work.
+// programs caches the current Program of each Loader so that every
+// analyzer pass in a schedlint run shares one SSA construction.
 var programs sync.Map // *lint.Loader -> *Program
 
-// For returns the (cached) Program for the pass's loader, extended
-// with the pass package and its transitively resolvable imports.
+// For returns the Program over every package the pass's loader has
+// loaded, building it on first use. The cached Program is reused until
+// the loader has loaded packages it lacks; then a new one is built and
+// the old one is left as it was.
 func For(pass *lint.Pass) (*Program, error) {
 	if pass.Loader == nil {
 		return nil, fmt.Errorf("ssair: pass has no loader; whole-program analyzers need one")
 	}
-	v, _ := programs.LoadOrStore(pass.Loader, &Program{
+	loaded := pass.Loader.Loaded()
+	// The loader's cache only grows, so equal sizes mean equal sets.
+	if v, ok := programs.Load(pass.Loader); ok && len(v.(*Program).Pkgs) == len(loaded) {
+		return v.(*Program), nil
+	}
+	p := &Program{
 		Loader:       pass.Loader,
 		Funcs:        map[*types.Func]*Func{},
 		Pkgs:         map[string]*lint.Package{},
 		globalWrites: map[*types.Var][]*Value{},
-	})
-	p := v.(*Program)
-	if err := p.AddPackage(pass.Pkg.Path()); err != nil {
-		return nil, err
 	}
+	byPath := make(map[string]*lint.Package, len(loaded))
+	for _, pkg := range loaded {
+		byPath[pkg.Path] = pkg
+	}
+	for _, pkg := range loaded {
+		p.addPackage(pkg, byPath)
+	}
+	programs.Store(pass.Loader, p)
 	return p, nil
 }
 
-// AddPackage builds SSA for the package at path and for every module
-// (or testdata) package it transitively imports. Already-built
-// packages are skipped, so repeated calls are cheap.
-func (p *Program) AddPackage(path string) error {
-	var missing []string
-	var visit func(path string) error
-	seen := map[string]bool{}
-	visit = func(path string) error {
-		if seen[path] || p.Pkgs[path] != nil {
-			return nil
-		}
-		seen[path] = true
-		if !p.Loader.Resolvable(path) {
-			return nil // standard library: no bodies needed
-		}
-		pkg, err := p.Loader.LoadPath(path)
-		if err != nil {
-			return err
-		}
-		var imports []string
-		for _, imp := range pkg.Types.Imports() {
-			imports = append(imports, imp.Path())
-		}
-		sort.Strings(imports)
-		for _, imp := range imports {
-			if err := visit(imp); err != nil {
-				return err
-			}
-		}
-		missing = append(missing, path)
-		return nil
+// addPackage builds pkg after every loaded package it transitively
+// imports (the standard library is never loaded: no bodies needed),
+// visiting imports in sorted order so value IDs are deterministic.
+// Already-built packages are skipped.
+func (p *Program) addPackage(pkg *lint.Package, loaded map[string]*lint.Package) {
+	if p.Pkgs[pkg.Path] != nil {
+		return
 	}
-	if err := visit(path); err != nil {
-		return err
+	p.Pkgs[pkg.Path] = pkg
+	var imports []string
+	for _, imp := range pkg.Types.Imports() {
+		imports = append(imports, imp.Path())
 	}
-	for _, path := range missing {
-		p.buildPackage(p.mustPkg(path))
+	sort.Strings(imports)
+	for _, imp := range imports {
+		if dep := loaded[imp]; dep != nil {
+			p.addPackage(dep, loaded)
+		}
 	}
-	return nil
-}
-
-func (p *Program) mustPkg(path string) *lint.Package {
-	pkg, err := p.Loader.LoadPath(path)
-	if err != nil {
-		panic("ssair: package vanished from loader cache: " + err.Error())
-	}
-	return pkg
+	p.buildPackage(pkg)
 }
 
 // buildPackage lowers every declared function of pkg. Files arrive
 // from the loader in sorted name order and declarations are processed
 // in source order, so value IDs are deterministic.
 func (p *Program) buildPackage(pkg *lint.Package) {
-	if p.Pkgs[pkg.Path] != nil {
-		return
-	}
-	p.Pkgs[pkg.Path] = pkg
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -299,7 +269,6 @@ func (p *Program) buildPackage(pkg *lint.Package) {
 			p.buildFunc(pkg, obj, fd)
 		}
 	}
-	p.version++
 }
 
 // FuncsOf returns the functions (including closures) declared in pkg,
@@ -324,11 +293,6 @@ func (p *Program) FileFor(fn *Func, pos token.Pos) *ast.File {
 
 // Fset returns the program's file set.
 func (p *Program) Fset() *token.FileSet { return p.Loader.Fset }
-
-// Version increments whenever a package is added to the program.
-// Analyzers that compute whole-program fixpoints key their memoized
-// results on it, recomputing only when the program has grown.
-func (p *Program) Version() int { return p.version }
 
 // MethodOn reports whether f is the method name on type
 // pkgPath.typeName (pointer or value receiver). Exported for the

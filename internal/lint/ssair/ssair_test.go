@@ -13,6 +13,12 @@ import (
 // package using its own loader (so the per-loader cache starts cold).
 func loadProgram(t *testing.T) *ssair.Program {
 	t.Helper()
+	return programFor(t, testLoader(t), "ssairtest")
+}
+
+// testLoader returns a new loader that resolves the testdata packages.
+func testLoader(t *testing.T) *lint.Loader {
+	t.Helper()
 	loader, err := lint.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +28,14 @@ func loadProgram(t *testing.T) *ssair.Program {
 		t.Fatal(err)
 	}
 	loader.SrcRoots = []string{src}
-	pkg, err := loader.LoadPath("ssairtest")
+	return loader
+}
+
+// programFor loads path on loader and returns ssair.For of a pass over
+// it.
+func programFor(t *testing.T, loader *lint.Loader, path string) *ssair.Program {
+	t.Helper()
+	pkg, err := loader.LoadPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +53,37 @@ func loadProgram(t *testing.T) *ssair.Program {
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// TestForBuildsOnceAndNeverGrows pins the Program lifecycle: For
+// returns one Program while the loader's package set is unchanged, and
+// a new one once the loader has loaded more, leaving the old Program
+// exactly as it was.
+func TestForBuildsOnceAndNeverGrows(t *testing.T) {
+	loader := testLoader(t)
+	first := programFor(t, loader, "ssairtest")
+	if again := programFor(t, loader, "ssairtest"); again != first {
+		t.Fatal("two For calls on an unchanged loader built two programs")
+	}
+	if first.Taint() != first.Taint() {
+		t.Error("Taint recomputed on an unchanged program")
+	}
+	nPkgs, nFuncs, nFuncMap := len(first.Pkgs), len(first.All), len(first.Funcs)
+
+	grown := programFor(t, loader, "ssairloop")
+	if grown == first {
+		t.Fatal("For returned the old program after the loader loaded a new package")
+	}
+	if grown.Pkgs["ssairtest"] == nil || grown.Pkgs["ssairloop"] == nil {
+		t.Errorf("new program lacks a loaded package: %v", grown.Pkgs)
+	}
+	if first.Pkgs["ssairloop"] != nil || len(first.Pkgs) != nPkgs ||
+		len(first.All) != nFuncs || len(first.Funcs) != nFuncMap {
+		t.Error("the old program changed after the loader grew")
+	}
+	if again := programFor(t, loader, "ssairtest"); again != grown {
+		t.Error("For rebuilt the program although the loader did not grow")
+	}
 }
 
 func findFunc(t *testing.T, prog *ssair.Program, name string) *ssair.Func {

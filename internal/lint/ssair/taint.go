@@ -77,18 +77,14 @@ type TaintResult struct {
 }
 
 // Taint runs (or returns the cached) whole-program nondeterminism
-// taint analysis over every package currently in the program. The
-// result is recomputed whenever AddPackage has grown the program;
-// source and sink IDs are stable across recomputations because
-// construction order is append-only.
+// taint analysis over every package in the program. The program never
+// grows, so the analysis runs once per Program.
 func (p *Program) Taint() *TaintResult {
-	if p.taint != nil && p.taintVersion == p.version {
-		return p.taint
+	if p.taint == nil {
+		e := newEngine(p)
+		e.run()
+		p.taint = e.result()
 	}
-	e := newEngine(p)
-	e.run()
-	p.taint = e.result()
-	p.taintVersion = p.version
 	return p.taint
 }
 

@@ -16,6 +16,8 @@
 package taintnondet
 
 import (
+	"fmt"
+	"go/token"
 	"path/filepath"
 
 	"schedcomp/internal/lint"
@@ -44,16 +46,28 @@ func run(pass *lint.Pass) error {
 	}
 	res := prog.Taint()
 	fset := prog.Fset()
+	type report struct {
+		pos token.Pos
+		msg string
+	}
+	seen := map[report]bool{}
 	for _, fl := range res.Flows {
-		// The program is shared across passes and only grows, so each
-		// flow is claimed by the first pass that can see both ends.
-		if !prog.FirstSighting("taintnondet", [2]int{fl.Source.ID, fl.Sink.ID}) {
+		// Every pass shares one whole-program result; each flow is
+		// reported by the pass of the package that holds its sink.
+		if fl.Sink.Fn.Pkg.Types != pass.Pkg {
 			continue
 		}
 		sp := fset.Position(fl.Source.Pos)
-		pass.Reportf(fl.Sink.Pos,
+		r := report{fl.Sink.Pos, fmt.Sprintf(
 			"%s receives a value tainted by %s (%s:%d); sort, seed, or annotate the source with //lint:sorted",
-			fl.Sink.Desc, fl.Source.Desc, filepath.Base(sp.Filename), sp.Line)
+			fl.Sink.Desc, fl.Source.Desc, filepath.Base(sp.Filename), sp.Line)}
+		// Two tainted arguments of one call are two sinks with one
+		// position and message: report them once.
+		if seen[r] {
+			continue
+		}
+		seen[r] = true
+		pass.Reportf(r.pos, "%s", r.msg)
 	}
 	return nil
 }

@@ -73,3 +73,13 @@ func DirectStore(weight map[dag.NodeID]int) *sched.Placement {
 	}
 	return pl
 }
+
+// BothArgs derives the processor from the map-ordered key itself, so
+// both Assign arguments carry the taint; the call is reported once.
+func BothArgs(weight map[dag.NodeID]int) *sched.Placement {
+	pl := sched.NewPlacement(len(weight))
+	for v := range weight {
+		pl.Assign(v, int(v)%2) // want `taintnondet: sched.Placement.Assign receives a value tainted by map iteration order`
+	}
+	return pl
+}

@@ -192,30 +192,3 @@ func (b *builder) refresh(p int) {
 	b.cand[p] = max(start, b.free[p])
 	b.ready = append(b.ready, int32(p))
 }
-
-// ValidateWith checks the schedule under an arbitrary delay model.
-func (s *Schedule) ValidateWith(delay DelayFunc) error {
-	if delay == nil {
-		delay = UniformDelay
-	}
-	g := s.Graph
-	// Hand-built schedules may not cover the graph; guard before
-	// indexing ByNode by node ID below.
-	if len(s.ByNode) != g.NumNodes() {
-		return fmt.Errorf("sched: schedule covers %d nodes, graph has %d", len(s.ByNode), g.NumNodes())
-	}
-	csr := g.CSR()
-	for v := 0; v < g.NumNodes(); v++ {
-		av := s.ByNode[v]
-		preds, ws := csr.Preds(dag.NodeID(v))
-		for j, u := range preds {
-			ap := s.ByNode[u]
-			ready := ap.Finish + delay(ap.Proc, av.Proc, ws[j])
-			if av.Start < ready {
-				return fmt.Errorf("sched: node %d starts at %d before data from %d ready at %d",
-					v, av.Start, u, ready)
-			}
-		}
-	}
-	return nil
-}

@@ -99,3 +99,53 @@ func TestValidateWithLatencyModel(t *testing.T) {
 		t.Error("ValidateWith accepted a schedule lacking per-hop latency headroom")
 	}
 }
+
+// TestValidateWithChecksScheduleShape requires ValidateWith to apply
+// every check of Validate, not only coverage and precedence: each
+// broken schedule below satisfies the ring's delays yet is not a
+// schedule of the execution model.
+func TestValidateWithChecksScheduleShape(t *testing.T) {
+	g, _, net := chainAcrossRing()
+	valid := func() *sched.Schedule {
+		return &sched.Schedule{
+			Graph: g,
+			ByNode: []sched.Assignment{
+				{Node: 0, Proc: 0, Start: 0, Finish: 10},
+				{Node: 1, Proc: 2, Start: 18, Finish: 23},
+			},
+			NumProcs: 3,
+			Makespan: 23,
+		}
+	}
+	if err := valid().ValidateWith(net.Delay); err != nil {
+		t.Fatalf("valid ring schedule rejected: %v", err)
+	}
+	pair := dag.New("pair")
+	pair.AddNode(10)
+	pair.AddNode(5)
+	cases := map[string]*sched.Schedule{
+		"overlap on one processor": {
+			Graph: pair,
+			ByNode: []sched.Assignment{
+				{Node: 0, Proc: 0, Start: 0, Finish: 10},
+				{Node: 1, Proc: 0, Start: 5, Finish: 10},
+			},
+			NumProcs: 1,
+			Makespan: 10,
+		},
+	}
+	mutate := func(name string, f func(s *sched.Schedule)) {
+		s := valid()
+		f(s)
+		cases[name] = s
+	}
+	mutate("finish is not start plus weight", func(s *sched.Schedule) { s.ByNode[0].Finish = 9 })
+	mutate("processor out of range", func(s *sched.Schedule) { s.ByNode[1].Proc = 3 })
+	mutate("negative start", func(s *sched.Schedule) { s.ByNode[0].Start, s.ByNode[0].Finish = -1, 9 })
+	mutate("finish beyond makespan", func(s *sched.Schedule) { s.Makespan = 20 })
+	for name, s := range cases {
+		if err := s.ValidateWith(net.Delay); err == nil {
+			t.Errorf("%s: ValidateWith accepted it", name)
+		}
+	}
+}

@@ -63,13 +63,23 @@ func (s *Schedule) ProcTasks(p int) []Assignment {
 	return out
 }
 
-// Validate checks the schedule against the paper's execution model:
+// Validate checks the schedule against the paper's execution model;
+// it is ValidateWith(UniformDelay).
+func (s *Schedule) Validate() error { return s.ValidateWith(UniformDelay) }
+
+// ValidateWith checks the schedule under the delay model (nil means
+// UniformDelay):
 //
-//  1. every node is assigned exactly once, with Finish = Start + weight;
+//  1. every node is assigned exactly once, on a processor in
+//     [0,NumProcs), at a non-negative start, with Finish = Start +
+//     weight and Finish within the makespan;
 //  2. tasks on the same processor do not overlap;
-//  3. every task starts no earlier than each predecessor's finish, plus
-//     the edge weight when the two run on different processors.
-func (s *Schedule) Validate() error {
+//  3. every task starts no earlier than each predecessor's finish plus
+//     the delay of the edge between their processors.
+func (s *Schedule) ValidateWith(delay DelayFunc) error {
+	if delay == nil {
+		delay = UniformDelay
+	}
 	g := s.Graph
 	n := g.NumNodes()
 	if len(s.ByNode) != n {
@@ -99,17 +109,16 @@ func (s *Schedule) Validate() error {
 		return err
 	}
 	// Precedence + communication.
+	csr := g.CSR()
 	for v := 0; v < n; v++ {
 		av := s.ByNode[v]
-		for _, e := range g.Preds(dag.NodeID(v)) {
-			ap := s.ByNode[e.To]
-			ready := ap.Finish
-			if ap.Proc != av.Proc {
-				ready += e.Weight
-			}
+		preds, ws := csr.Preds(dag.NodeID(v))
+		for j, u := range preds {
+			ap := s.ByNode[u]
+			ready := ap.Finish + delay(ap.Proc, av.Proc, ws[j])
 			if av.Start < ready {
 				return fmt.Errorf("sched: node %d starts at %d before data from %d ready at %d",
-					v, av.Start, e.To, ready)
+					v, av.Start, u, ready)
 			}
 		}
 	}
