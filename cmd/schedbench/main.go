@@ -9,30 +9,20 @@
 // With the defaults it reproduces the paper-scale experiment: 60
 // classes × 35 graphs = 2100 PDGs of 40–120 nodes.
 //
-// Performance tracking:
+// Profiling and telemetry for the report run:
 //
-//	schedbench -bench [-benchout FILE] [-golden FILE] [-writegolden FILE]
-//	schedbench -compare old.json new.json
 //	schedbench -cpuprofile cpu.out -memprofile mem.out
 //	schedbench -metrics -trace
 //
-// -bench replaces the report with a perf run: every registered
-// heuristic is timed single-threaded over the corpus and the result
-// (ns/graph, allocs/graph, graphs/sec, an FNV-1a hash of every
-// schedule produced) is written as JSON. -golden compares the hashes
-// against a committed baseline and exits non-zero on any divergence,
-// which is how CI catches unintended behavioural changes riding along
-// with performance work.
-//
-// -compare diffs two -bench result files heuristic by heuristic
-// (ns/graph, allocs/graph, bytes/graph, schedule-hash equality) and
-// exits non-zero when any schedule hash diverged — the same contract
-// as -golden, plus the perf delta report.
-//
 // -metrics enables the internal/obs registry and dumps every counter
 // and histogram in the Prometheus text format on exit; -trace records
-// per-phase spans (corpus, evaluate/bench, report) and prints the
+// per-phase spans (corpus, evaluate, report) and prints the
 // flame-style tree. Both are off by default and cost nothing when off.
+//
+// Schedule identity is pinned by go test (TestGoldenScheduleHashes in
+// internal/heuristics); corpus throughput and per-heuristic ns and
+// allocs are measured by the perfbench module's corpus workload and
+// its --trace mode.
 package main
 
 import (
@@ -44,6 +34,7 @@ import (
 	"time"
 
 	"schedcomp"
+	"schedcomp/internal/experiments"
 	"schedcomp/internal/obs"
 	"schedcomp/internal/report"
 )
@@ -62,22 +53,12 @@ func run() int {
 		saveDir     = flag.String("save", "", "save the generated corpus to this directory")
 		loadDir     = flag.String("load", "", "load a previously saved corpus instead of generating")
 		markdown    = flag.String("markdown", "", "also write the full report as markdown to this file")
-		bench       = flag.Bool("bench", false, "run the perf benchmark over all registered heuristics instead of the report")
-		benchOut    = flag.String("benchout", "BENCH_schedbench.json", "write the -bench result to this file")
-		benchNote   = flag.String("benchnote", "", "free-form note recorded in the -bench result")
-		golden      = flag.String("golden", "", "compare -bench schedule hashes against this golden file; exit non-zero on divergence")
-		writeGolden = flag.String("writegolden", "", "also write the -bench result to this golden file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		withMetrics = flag.Bool("metrics", false, "enable the obs registry and dump it (Prometheus text) on exit")
 		withTrace   = flag.Bool("trace", false, "record per-phase spans and print the trace tree on exit")
-		compare     = flag.Bool("compare", false, "compare two -bench result files (old.json new.json): print per-heuristic deltas, exit non-zero when any schedule hash diverged")
 	)
 	flag.Parse()
-
-	if *compare {
-		return runCompareMode(flag.Args())
-	}
 
 	if *withMetrics {
 		obs.Default().SetEnabled(true)
@@ -167,10 +148,6 @@ func run() int {
 		fmt.Println(schedcomp.CorpusTable(c))
 	}
 
-	if *bench {
-		return runBenchMode(c, corpusGen, *benchNote, *benchOut, *golden, *writeGolden, tr)
-	}
-
 	start = time.Now()
 	fmt.Println("evaluating CLANS, DSC, MCP, MH, HU on every graph...")
 	spEval := tr.Span("evaluate")
@@ -193,17 +170,21 @@ func run() int {
 	}
 	spReport.End()
 
+	var ext []*schedcomp.Table
+	if *extensions {
+		if ext, err = experiments.Extensions(*seed); err != nil {
+			fmt.Fprintln(os.Stderr, "extension experiments failed:", err)
+			return 1
+		}
+	}
+
 	if *markdown != "" {
 		f, err := os.Create(*markdown)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		err = report.Write(f, c, ev, report.Options{
-			Extensions:    *extensions,
-			ExtensionSeed: *seed,
-			Timestamp:     time.Now(),
-		})
+		err = report.Write(f, c, ev, report.Options{Extensions: ext, Timestamp: time.Now()})
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -217,95 +198,9 @@ func run() int {
 	if *extensions {
 		fmt.Println(schedcomp.SpeedupQuantilesTable(ev))
 		fmt.Println("running extension experiments...")
-		type ext struct {
-			name string
-			run  func() (*schedcomp.Table, error)
-		}
-		for _, e := range []ext{
-			{"optimality gap", func() (*schedcomp.Table, error) { return schedcomp.OptimalityGapTable(*seed, 10) }},
-			{"wider weight ranges", func() (*schedcomp.Table, error) { return schedcomp.WiderWeightRangesTable(*seed, 4) }},
-			{"duplication gain", func() (*schedcomp.Table, error) { return schedcomp.DuplicationGainTable(*seed, 10) }},
-			{"metric comparison", func() (*schedcomp.Table, error) { return schedcomp.MetricComparisonTable(*seed, 100) }},
-			{"extended comparison", func() (*schedcomp.Table, error) { return schedcomp.ExtendedComparisonTable(*seed, 10) }},
-			{"size scaling", func() (*schedcomp.Table, error) { return schedcomp.SizeScalingTable(*seed, 5) }},
-		} {
-			t, err := e.run()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.name, err)
-				return 1
-			}
+		for _, t := range ext {
 			fmt.Println(t)
 		}
-	}
-	return 0
-}
-
-// runCompareMode diffs two previously written -bench results. Output
-// changes (hash divergence, a heuristic present on only one side) exit
-// non-zero; performance deltas are informational.
-func runCompareMode(args []string) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: schedbench -compare old.json new.json")
-		return 2
-	}
-	oldRes, err := loadBench(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "compare:", err)
-		return 1
-	}
-	newRes, err := loadBench(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "compare:", err)
-		return 1
-	}
-	report, err := compareBench(oldRes, newRes)
-	fmt.Print(report)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "COMPARE FAILED:", err)
-		return 1
-	}
-	fmt.Printf("all %d schedule hashes identical (%s vs %s)\n", len(newRes.Heuristics), args[0], args[1])
-	return 0
-}
-
-// runBenchMode times every registered heuristic over the corpus,
-// writes the JSON result, and optionally checks it against a golden.
-func runBenchMode(c *schedcomp.Corpus, corpusGen time.Duration, note, out, golden, writeGolden string, tr *obs.Trace) int {
-	fmt.Println("benchmarking all registered heuristics (single-threaded)...")
-	res, err := runBench(c, corpusGen, note, tr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench failed:", err)
-		return 1
-	}
-	for _, h := range res.Heuristics {
-		fmt.Printf("  %-7s %12d ns/graph %8d allocs/graph %10.1f graphs/sec  %s\n",
-			h.Name, h.NsPerGraph, h.AllocsPerGraph, h.GraphsPerSec, h.ScheduleHash)
-	}
-	fmt.Printf("total: %d graphs, gen %dms + eval %dms = %dms (%.1f graphs/sec)\n",
-		res.Graphs, res.CorpusGenMs, res.EvalMs, res.TotalMs, res.GraphsPerSec)
-	if err := writeBench(out, res); err != nil {
-		fmt.Fprintln(os.Stderr, "bench write failed:", err)
-		return 1
-	}
-	fmt.Printf("wrote %s\n", out)
-	if writeGolden != "" {
-		if err := writeBench(writeGolden, res); err != nil {
-			fmt.Fprintln(os.Stderr, "golden write failed:", err)
-			return 1
-		}
-		fmt.Printf("wrote golden %s\n", writeGolden)
-	}
-	if golden != "" {
-		g, err := loadBench(golden)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "golden load failed:", err)
-			return 1
-		}
-		if err := compareGolden(res, g); err != nil {
-			fmt.Fprintln(os.Stderr, "GOLDEN MISMATCH:", err)
-			return 1
-		}
-		fmt.Printf("schedule hashes match golden %s\n", golden)
 	}
 	return 0
 }

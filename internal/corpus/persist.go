@@ -96,8 +96,9 @@ func Load(dir string) (*Corpus, error) {
 		}}
 		for _, name := range ms.Graphs {
 			// Manifest entries are plain file names written by Save;
-			// refuse anything that could escape the corpus directory.
-			if name == "" || filepath.Base(name) != name {
+			// refuse anything that could escape the corpus directory
+			// or name it (".." and "." are their own base names).
+			if name == "" || name == "." || name == ".." || filepath.Base(name) != name {
 				return nil, fmt.Errorf("corpus: manifest references suspicious path %q", name)
 			}
 			f, err := os.Open(filepath.Join(dir, name))

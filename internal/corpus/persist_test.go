@@ -3,6 +3,7 @@ package corpus
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"schedcomp/internal/dag"
@@ -49,15 +50,19 @@ func TestLoadMissingDir(t *testing.T) {
 }
 
 func TestLoadRejectsEscapingPaths(t *testing.T) {
-	dir := t.TempDir()
-	manifest := `{"spec":{"Seed":1,"GraphsPerSet":1,"MinNodes":4,"MaxNodes":8,"Workers":0},` +
-		`"sets":[{"band_lo":0,"band_hi":0.08,"anchor":2,"wmin":20,"wmax":100,` +
-		`"graphs":["../../etc/passwd"]}]}`
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Fatal("expected error for escaping manifest path")
+	// "." and ".." are their own base names, so a base-name check alone
+	// lets them through to a confusing directory read error.
+	for _, name := range []string{"../../etc/passwd", "sub/g.json", "..", ".", ""} {
+		dir := t.TempDir()
+		manifest := `{"spec":{"Seed":1,"GraphsPerSet":1,"MinNodes":4,"MaxNodes":8,"Workers":0},` +
+			`"sets":[{"band_lo":0,"band_hi":0.08,"anchor":2,"wmin":20,"wmax":100,` +
+			`"graphs":["` + name + `"]}]}`
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "suspicious path") {
+			t.Errorf("manifest entry %q: err = %v, want a suspicious path error", name, err)
+		}
 	}
 }
 

@@ -310,3 +310,28 @@ func MetricComparison(seed int64, graphs int) (*stats.Table, error) {
 	}
 	return t, nil
 }
+
+// Extensions runs every extension experiment at the sizes the
+// reproduction report uses and returns their tables in report order.
+func Extensions(seed int64) ([]*stats.Table, error) {
+	runs := []struct {
+		name string
+		run  func() (*stats.Table, error)
+	}{
+		{"optimality gap", func() (*stats.Table, error) { return OptimalityGap(seed, 10) }},
+		{"wider weight ranges", func() (*stats.Table, error) { return WiderWeightRanges(seed, 4) }},
+		{"duplication gain", func() (*stats.Table, error) { return DuplicationGain(seed, 10) }},
+		{"metric comparison", func() (*stats.Table, error) { return MetricComparison(seed, 100) }},
+		{"extended comparison", func() (*stats.Table, error) { return ExtendedComparison(seed, 10) }},
+		{"size scaling", func() (*stats.Table, error) { return SizeScaling(seed, 5) }},
+	}
+	tables := make([]*stats.Table, 0, len(runs))
+	for _, r := range runs {
+		t, err := r.run()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.name, err)
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
+}

@@ -6,6 +6,7 @@
 package report
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -21,16 +22,17 @@ import (
 type Options struct {
 	// Title heads the document.
 	Title string
-	// Extensions adds the extension experiment tables (slower).
-	Extensions bool
-	// ExtensionSeed seeds the extension drivers.
-	ExtensionSeed int64
+	// Extensions, when non-empty, adds these extension experiment
+	// tables (see experiments.Extensions) after the figures.
+	Extensions []*stats.Table
 	// Timestamp, when non-zero, is recorded in the header.
 	Timestamp time.Time
 }
 
-// Write renders the full report for an evaluated corpus.
-func Write(w io.Writer, c *corpus.Corpus, ev *core.Evaluation, opts Options) error {
+// Write renders the full report for an evaluated corpus and returns
+// the first error writing to out.
+func Write(out io.Writer, c *corpus.Corpus, ev *core.Evaluation, opts Options) error {
+	w := bufio.NewWriter(out)
 	title := opts.Title
 	if title == "" {
 		title = "Multiprocessor scheduling heuristics: reproduction report"
@@ -53,28 +55,13 @@ func Write(w io.Writer, c *corpus.Corpus, ev *core.Evaluation, opts Options) err
 		fmt.Fprintf(w, "```\n%s```\n\n", f)
 	}
 
-	if opts.Extensions {
+	if len(opts.Extensions) > 0 {
 		fmt.Fprintf(w, "## Extension experiments\n\n")
-		type ext struct {
-			run func() (*stats.Table, error)
-		}
-		seed := opts.ExtensionSeed
-		for _, e := range []ext{
-			{func() (*stats.Table, error) { return experiments.OptimalityGap(seed, 10) }},
-			{func() (*stats.Table, error) { return experiments.WiderWeightRanges(seed, 4) }},
-			{func() (*stats.Table, error) { return experiments.DuplicationGain(seed, 10) }},
-			{func() (*stats.Table, error) { return experiments.MetricComparison(seed, 100) }},
-			{func() (*stats.Table, error) { return experiments.ExtendedComparison(seed, 10) }},
-			{func() (*stats.Table, error) { return experiments.SizeScaling(seed, 5) }},
-		} {
-			t, err := e.run()
-			if err != nil {
-				return err
-			}
+		for _, t := range opts.Extensions {
 			writeTable(w, t)
 		}
 	}
-	return nil
+	return w.Flush()
 }
 
 // writeTable renders a stats.Table as a markdown table with its title

@@ -7,6 +7,7 @@ import (
 
 	"schedcomp/internal/core"
 	"schedcomp/internal/corpus"
+	"schedcomp/internal/experiments"
 
 	_ "schedcomp/internal/heuristics/clans"
 	_ "schedcomp/internal/heuristics/dcp"
@@ -66,8 +67,12 @@ func TestWriteWithExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ext, err := experiments.Extensions(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	err = Write(&b, c, ev, Options{Title: "T", Extensions: true, ExtensionSeed: 3})
+	err = Write(&b, c, ev, Options{Title: "T", Extensions: ext})
 	if err != nil {
 		t.Fatal(err)
 	}
